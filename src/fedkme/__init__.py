@@ -24,7 +24,6 @@ from .datagen import (
 from .embedding import (
     Embedding,
     LocalFeatureSet,
-    effective_dimension,
     embed,
     kme_inner,
     local_features,
@@ -40,6 +39,7 @@ from .fedsim import (
     ProtocolConfig,
     ProtocolResult,
     baseline_weights,
+    fit_model,
     run_protocol,
     run_protocol_all,
 )
@@ -51,7 +51,6 @@ from .kernels import (
     gram_matrix,
     isotropic_gaussian_kernel,
     kernel_bound,
-    median_heuristic_bandwidth,
     poly2_kernel,
     spectral_distribution,
 )
@@ -69,7 +68,7 @@ from .qagg import (
     theory_config,
     weights_matrix,
 )
-from .rff import RffParams, featurize, featurize_matrix, read_params_csv, sample_rff, write_params_csv
+from .rff import RffParams, featurize, featurize_matrix, sample_rff
 
 __version__ = "0.1.0"
 
@@ -97,13 +96,13 @@ __all__ = [
     "concept_shift_test_sets",
     "covariate_shift_test_sets",
     "default_config",
-    "effective_dimension",
     "embed",
     "eval_kernel",
     "evaluate",
     "fedavg",
     "featurize",
     "featurize_matrix",
+    "fit_model",
     "fit_weighted",
     "gaussian_kernel",
     "gen_concept_shift",
@@ -115,7 +114,6 @@ __all__ = [
     "learn_weights",
     "load_csv",
     "local_features",
-    "median_heuristic_bandwidth",
     "mmd2",
     "mmd2_mixture",
     "ones_config",
@@ -125,7 +123,6 @@ __all__ = [
     "poly2_lift",
     "poly2_population_embedding",
     "q_stat",
-    "read_params_csv",
     "run_protocol",
     "run_protocol_all",
     "sample_rff",
@@ -135,5 +132,4 @@ __all__ = [
     "weighted_objective",
     "weights_matrix",
     "write_csv",
-    "write_params_csv",
 ]

@@ -15,8 +15,9 @@ config.  ``fedkme run`` writes three files into the output directory:
     comm.csv      communication ledger of that same repetition
 
 A repetition that raises is recorded as a single status row (method
-``status``, value ``error``) and the run continues.  All rows are buffered
-and sorted before writing, so output bytes never depend on --threads.
+``status``, value ``error``), its exception is printed as one stderr line,
+and the run continues.  All rows are buffered and sorted before writing, so
+output bytes never depend on --threads.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .fedsim import (
     CommLedger,
     ProtocolConfig,
     baseline_weights,
-    charge_fedavg,
+    fit_model,
     run_protocol_all,
 )
 from .kernels import (
@@ -65,7 +66,7 @@ from .kernels import (
     isotropic_gaussian_kernel,
     poly2_kernel,
 )
-from .models import ACCURACY, LOGISTIC_GD, MSE, ModelSpec, evaluate, fedavg, fit_weighted
+from .models import ACCURACY, LOGISTIC_GD, MSE, ModelSpec, evaluate, fit_weighted
 from .qagg import SimplexWeights, default_config, ones_config, theory_config, weights_matrix
 
 CONCEPT = "concept_shift"
@@ -392,17 +393,7 @@ class _JobResult(NamedTuple):
     rows: list[tuple]
     weights: list[SimplexWeights] | None
     ledger: CommLedger | None
-
-
-def _qagg_model(cfg: ExperimentConfig, pcfg: ProtocolConfig, w: SimplexWeights, datasets, ledger: CommLedger):
-    if cfg.optimizer == FEDAVG:
-        model = fedavg(
-            pcfg.model, w, datasets,
-            rounds=cfg.fedavg_rounds, local_steps=cfg.fedavg_local_steps, lr=cfg.fedavg_lr,
-        )
-        charge_fedavg(ledger, pcfg, model, w)
-        return model
-    return fit_weighted(pcfg.model, w, datasets)
+    error: str | None  # "ExceptionClass: message" of a failed repetition
 
 
 def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool, with_baselines: bool) -> _JobResult:
@@ -422,7 +413,7 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool, with_bas
         pcfg = _protocol_config(cfg, dim, proto_seed, model_spec)
         wrows, ledger = run_protocol_all(pcfg, data.datasets)
         for t in range(B):
-            model = _qagg_model(cfg, pcfg, wrows[t], data.datasets, ledger)
+            model = fit_model(pcfg, wrows[t], data.datasets, ledger)
             value = evaluate(model, data.tests[t], metric)
             rows.append((_QAGG_METHOD, data.params[t], rep, t, value))
     if with_baselines:
@@ -433,15 +424,15 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool, with_bas
                 model = fit_weighted(model_spec, w, data.datasets)
                 value = evaluate(model, data.tests[t], metric)
                 rows.append((name, data.params[t], rep, t, value))
-    return _JobResult(rows, wrows, ledger)
+    return _JobResult(rows, wrows, ledger, None)
 
 
 def _safe_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool, with_baselines: bool) -> _JobResult:
     try:
         return _run_job(cfg, gi, rep, with_qagg, with_baselines)
-    except Exception:
+    except Exception as exc:
         param = cfg.grid[gi] if cfg.experiment == CONCEPT else 0.0
-        return _JobResult([(_STATUS_METHOD, param, rep, -1, "error")], None, None)
+        return _JobResult([(_STATUS_METHOD, param, rep, -1, "error")], None, None, f"{type(exc).__name__}: {exc}")
 
 
 def _grid_size(cfg: ExperimentConfig) -> int:
@@ -494,6 +485,9 @@ def _collect(cfg: ExperimentConfig, threads: int, with_qagg: bool, with_baseline
             results = list(pool.map(lambda j: _safe_job(cfg, j[0], j[1], with_qagg, with_baselines), jobs))
     else:
         results = [_safe_job(cfg, gi, rep, with_qagg, with_baselines) for gi, rep in jobs]
+    for (gi, rep), res in zip(jobs, results):
+        if res.error is not None:
+            print(f"repetition {rep} of grid point {gi} failed: {res.error}", file=sys.stderr)
     rows = [row for res in results for row in res.rows]
     snapshot = results[0]  # jobs are ordered, so index 0 is grid point 0, repetition 0
     return rows, snapshot

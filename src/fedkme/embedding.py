@@ -17,7 +17,6 @@ allows, so the two routes can check one another.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,31 +278,3 @@ def q_stat(local: LocalFeatureSet, nu_k: Embedding, nu_1: Embedding) -> float:
     proj = local.features @ u
     proj -= proj.mean()
     return float(np.sum(proj * proj)) / (n - 1)
-
-
-def effective_dimension(local: LocalFeatureSet) -> float:
-    """Intrinsic dimension tr Sigma_hat / ||Sigma_hat||_op of the local sample."""
-    if local.kind == EXACT:
-        raise ValueError("effective dimension needs a finite-dimensional representation")
-    n = local.n
-    if n < 2:
-        raise ValueError("effective dimension needs at least two samples")
-    centered = local.features - local.features.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    ev = sv * sv / (n - 1)
-    total = float(ev.sum())
-    top = float(ev[0]) if ev.size else 0.0
-    if top <= 0.0:
-        raise ValueError("zero covariance: effective dimension undefined")
-    return total / top
-
-
-def write_embeddings_csv(path, embs: list[Embedding]) -> None:
-    """Protocol transcript rows: agent_id, n, D, v_1..v_D."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = as_feature_vector(embs[0]).shape[0] if embs else 0
-        writer.writerow(["agent_id", "n", "D"] + [f"v_{s}" for s in range(1, dim + 1)])
-        for agent_id, emb in enumerate(embs):
-            vec = as_feature_vector(emb)
-            writer.writerow([agent_id, emb.n, vec.shape[0]] + [f"{x:.17g}" for x in vec])

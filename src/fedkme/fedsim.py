@@ -3,14 +3,19 @@
 The six protocol steps for a target agent are: the server samples the shared
 random-feature coefficients, broadcasts them, every agent computes its local
 embedding, non-target agents upload their embeddings (exactly once), the
-target learns its collaboration weights from embeddings plus its own raw
-data only, and the weighted risk is minimized (closed form or FedAvg).
+collaboration weights are learned from the embeddings and the target's own
+per-point features, and the weighted risk is minimized (closed form or FedAvg).
+
+:func:`run_protocol_all` runs steps 1-5 with every agent as a target;
+:func:`run_protocol` is its one-target slice followed by :func:`fit_model`,
+the one closed-form/FedAvg dispatch.
 
 There are no sockets; the ledger is the communication model.  Coefficients
 are "transmitted" by regenerating them from the shared seed, but the ledger
-charges the full payload of D x (ambient_dim + 1) scalars per agent.  A
-raw-data access audit asserts that the weight-computation step never reads
-another agent's sample matrix.
+charges the full payload of D x (ambient_dim + 1) scalars per agent.  Each
+target computes its per-point features before the weight step starts, so a
+raw-data access audit asserts that the weight step reads no agent's sample
+matrix at all, the target's included.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .data import AgentDataset, audit_raw_access
 from .embedding import POLY2, Embedding, embed, local_features
 from .kernels import GAUSSIAN, KernelSpec, kernel_bound
 from .models import FittedModel, ModelSpec, fedavg, fit_weighted
-from .qagg import QaggConfig, SimplexWeights, build_problem, learn_weights, optimize
+from .qagg import QaggConfig, SimplexWeights, learn_weights
 from .rff import RffParams, sample_rff
 
 CLOSED_FORM = "closed_form"
@@ -93,17 +98,6 @@ class ProtocolResult(NamedTuple):
     ledger: CommLedger
 
 
-def _protocol_mode(cfg: ProtocolConfig):
-    """Shared representation for the run: RFF coefficients or poly2 summaries."""
-    if cfg.kernel.kind == GAUSSIAN:
-        return sample_rff(cfg.kernel, cfg.d_rff, cfg.seed)
-    return POLY2
-
-
-def _embed_all(cfg: ProtocolConfig, datasets, mode) -> list[Embedding]:
-    return [embed(ds, mode, scope=cfg.embedding_scope) for ds in datasets]
-
-
 def _charge_gamma(ledger: CommLedger, cfg: ProtocolConfig, mode, n_agents: int) -> None:
     if not isinstance(mode, RffParams):
         return
@@ -119,89 +113,74 @@ def _kme_payload(cfg: ProtocolConfig, mode, emb: Embedding) -> int:
     return p + p * (p + 1) // 2  # mean plus symmetric second moment
 
 
-def _weight_cfg(cfg: ProtocolConfig, mode, datasets, target: int) -> QaggConfig:
-    qcfg = replace(cfg.qagg, target_index=target)
+def _weight_cfg(cfg: ProtocolConfig, mode, datasets) -> QaggConfig:
     if isinstance(mode, RffParams):
-        return qcfg
+        return cfg.qagg
     # poly2 bound is data-dependent: each agent contributes its local scalar
-    return replace(qcfg, m=kernel_bound(cfg.kernel, datasets))
+    return replace(cfg.qagg, m=kernel_bound(cfg.kernel, datasets))
 
 
-def charge_fedavg(ledger: CommLedger, cfg: ProtocolConfig, model: FittedModel, weights: SimplexWeights) -> None:
+def _learn(
+    cfg: ProtocolConfig, datasets: list[AgentDataset], targets: list[int],
+) -> tuple[list[SimplexWeights], CommLedger]:
+    """Protocol steps 1-5 for the given targets: one weight row per target, in order."""
+    B = len(datasets)
+    if B < 1:
+        raise ValueError("at least one agent is required")
+    for t in targets:
+        if not 0 <= t < B:
+            raise ValueError(f"target {t} out of range for {B} agents")
+        if datasets[t].n < 2:
+            raise ValueError(f"agent {t} needs at least two samples to act as a target")
+
+    ledger = CommLedger()
+    mode = sample_rff(cfg.kernel, cfg.d_rff, cfg.seed) if cfg.kernel.kind == GAUSSIAN else POLY2
+    _charge_gamma(ledger, cfg, mode, B)
+    embeddings = [embed(ds, mode, scope=cfg.embedding_scope) for ds in datasets]
+    for k, emb in enumerate(embeddings):
+        if targets == [k]:
+            continue  # the only target's embedding never leaves it
+        ledger.log("kme_upload", f"agent_{k}", "server", "kme", _kme_payload(cfg, mode, emb))
+        if not isinstance(mode, RffParams):
+            ledger.log("kme_upload", f"agent_{k}", "server", "kernel_bound", 1)
+
+    # a target's per-point features are its own local computation
+    locals_ = {t: local_features(datasets[t], mode, scope=cfg.embedding_scope) for t in targets}
+    qcfg = _weight_cfg(cfg, mode, datasets)
+    with audit_raw_access() as log:
+        rows = learn_weights(embeddings, locals_, qcfg)
+    if log:
+        raise RuntimeError("server-side weight computation read raw data of a target or non-target agent")
+    return rows, ledger
+
+
+def fit_model(
+    cfg: ProtocolConfig, weights: SimplexWeights, datasets: list[AgentDataset], ledger: CommLedger,
+) -> FittedModel:
+    """Step 6: minimize the weighted risk in closed form, or by FedAvg with its rounds charged to ``ledger``."""
+    if cfg.optimizer_path != FEDAVG:
+        return fit_weighted(cfg.model, weights, datasets)
+    model = fedavg(
+        cfg.model, weights, datasets,
+        rounds=cfg.fedavg_rounds, local_steps=cfg.fedavg_local_steps, lr=cfg.fedavg_lr,
+    )
     param_dim = int(np.size(model.coefficients)) + int(np.size(model.intercept))
     participants = [k for k in range(len(weights)) if weights.w[k] > 0.0]
     for rnd in range(cfg.fedavg_rounds):
         for k in participants:
             ledger.log(f"fedavg_{rnd}", "server", f"agent_{k}", "model_round_trip", 2 * param_dim)
+    return model
 
 
 def run_protocol(cfg: ProtocolConfig, datasets: list[AgentDataset], target: int) -> ProtocolResult:
-    """Execute the six protocol steps for one target agent."""
-    B = len(datasets)
-    if B < 1:
-        raise ValueError("at least one agent is required")
-    if not 0 <= target < B:
-        raise ValueError(f"target {target} out of range for {B} agents")
-    if datasets[target].n < 2:
-        raise ValueError("target agent needs at least two samples")
-
-    ledger = CommLedger()
-    mode = _protocol_mode(cfg)
-    _charge_gamma(ledger, cfg, mode, B)
-
-    embeddings = _embed_all(cfg, datasets, mode)
-    for k, emb in enumerate(embeddings):
-        if k == target:
-            continue
-        ledger.log("kme_upload", f"agent_{k}", "server", "kme", _kme_payload(cfg, mode, emb))
-        if not isinstance(mode, RffParams):
-            ledger.log("kme_upload", f"agent_{k}", "server", "kernel_bound", 1)
-
-    qcfg = _weight_cfg(cfg, mode, datasets, target)
-    with audit_raw_access() as log:
-        local = local_features(datasets[target], mode, scope=cfg.embedding_scope)
-        weights = optimize(build_problem(embeddings, local, qcfg), qcfg)
-    if {id(ds) for ds in log} - {id(datasets[target])}:
-        raise RuntimeError("weight computation read raw data of a non-target agent")
-
-    if cfg.optimizer_path == FEDAVG:
-        model = fedavg(
-            cfg.model, weights, datasets,
-            rounds=cfg.fedavg_rounds, local_steps=cfg.fedavg_local_steps, lr=cfg.fedavg_lr,
-        )
-        charge_fedavg(ledger, cfg, model, weights)
-    else:
-        model = fit_weighted(cfg.model, weights, datasets)
-
-    return ProtocolResult(weights=weights, model=model, ledger=ledger)
+    """The six protocol steps for one target: the one-target slice of :func:`run_protocol_all`, then the fit."""
+    (weights,), ledger = _learn(cfg, datasets, [target])
+    return ProtocolResult(weights=weights, model=fit_model(cfg, weights, datasets, ledger), ledger=ledger)
 
 
 def run_protocol_all(cfg: ProtocolConfig, datasets: list[AgentDataset]) -> tuple[list[SimplexWeights], CommLedger]:
-    """Weight matrix for every agent as target; uploads charged once per agent."""
-    B = len(datasets)
-    if B < 1:
-        raise ValueError("at least one agent is required")
-    for k, ds in enumerate(datasets):
-        if ds.n < 2:
-            raise ValueError(f"agent {k} needs at least two samples to act as a target")
-
-    ledger = CommLedger()
-    mode = _protocol_mode(cfg)
-    _charge_gamma(ledger, cfg, mode, B)
-    embeddings = _embed_all(cfg, datasets, mode)
-    for k, emb in enumerate(embeddings):
-        ledger.log("kme_upload", f"agent_{k}", "server", "kme", _kme_payload(cfg, mode, emb))
-        if not isinstance(mode, RffParams):
-            ledger.log("kme_upload", f"agent_{k}", "server", "kernel_bound", 1)
-
-    # local feature maps are each agent's own local computation
-    locals_ = [local_features(ds, mode, scope=cfg.embedding_scope) for ds in datasets]
-    qcfg = _weight_cfg(cfg, mode, datasets, 0)
-    with audit_raw_access() as log:
-        rows = learn_weights(embeddings, locals_, qcfg)
-    if log:
-        raise RuntimeError("server-side weight computation read raw agent data")
-    return rows, ledger
+    """Weight row for every agent as target; uploads charged once per agent, no model fitted."""
+    return _learn(cfg, datasets, list(range(len(datasets))))
 
 
 def baseline_weights(

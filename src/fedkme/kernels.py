@@ -88,22 +88,6 @@ def poly2_kernel(ambient_dim: int) -> KernelSpec:
     return KernelSpec(kind=POLY2, ambient_dim=int(ambient_dim))
 
 
-def median_heuristic_bandwidth(Z: np.ndarray) -> KernelSpec:
-    """Isotropic Gaussian with 1/(2 m^2) scaling, m = median pairwise distance.
-
-    Optional helper behind a config flag; never a default.
-    """
-    Z = np.asarray(Z, dtype=float)
-    n, d = Z.shape
-    if n < 2:
-        raise ValueError("median heuristic needs at least two points")
-    sq = np.sum((Z[:, None, :] - Z[None, :, :]) ** 2, axis=-1)
-    med = float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)])))
-    if med <= 0:
-        raise ValueError("median pairwise distance is zero; heuristic undefined")
-    return gaussian_kernel((1.0 / (2.0 * med**2),) * d)
-
-
 def eval_kernel(spec: KernelSpec, z, z2) -> float:
     """Evaluate kappa(z, z2); symmetric in its arguments bit-for-bit."""
     z = np.asarray(z, dtype=float).reshape(-1)

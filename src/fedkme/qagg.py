@@ -233,14 +233,21 @@ def optimize(problem: QaggProblem, cfg: QaggConfig) -> SimplexWeights:
     return SimplexWeights(w / float(w.sum()))
 
 
-def learn_weights(embs: list[Embedding], locals_: list[LocalFeatureSet], cfg: QaggConfig) -> list[SimplexWeights]:
-    """Weights for every agent as target: row k solves agent k's problem."""
-    if len(embs) != len(locals_):
-        raise ValueError("need one local feature set per agent")
+def learn_weights(
+    embs: list[Embedding], locals_: dict[int, LocalFeatureSet], cfg: QaggConfig,
+) -> list[SimplexWeights]:
+    """Weights for each target, from every agent's embedding and the target's own features.
+
+    ``locals_`` maps a target index to that target's per-point features; one
+    target or all of them take the same loop.  Rows come back in the order of
+    ``locals_``, and ``cfg.target_index`` is replaced by each key in turn.
+    With RFF or poly2 embeddings no agent's raw data is read here; exact
+    embeddings carry their sample and are read through it.
+    """
     rows = []
-    for t in range(len(embs)):
+    for t, local in locals_.items():
         cfg_t = replace(cfg, target_index=t)
-        rows.append(optimize(build_problem(embs, locals_[t], cfg_t), cfg_t))
+        rows.append(optimize(build_problem(embs, local, cfg_t), cfg_t))
     return rows
 
 

@@ -12,13 +12,12 @@ single seed and shared with every agent.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .kernels import KernelSpec, gaussian_kernel, poly2_kernel, spectral_distribution
+from .kernels import KernelSpec, spectral_distribution
 
 _RFF_STREAM = "rff-coefficients"
 
@@ -70,29 +69,3 @@ def featurize_matrix(params: RffParams, Z: np.ndarray) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[1] != params.kernel.ambient_dim:
         raise ValueError(f"expected (n, {params.kernel.ambient_dim}) points, got shape {Z.shape}")
     return np.sqrt(2.0 / params.D) * np.cos(Z @ params.W.T + params.b)
-
-
-def write_params_csv(params: RffParams, path) -> None:
-    """Audit serialization: header row, then the D rows of W, then b."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        bandwidth = params.kernel.bandwidth or ()
-        w.writerow([params.kernel.kind, params.kernel.ambient_dim, params.D, params.seed])
-        w.writerow([f"{a:.17g}" for a in bandwidth])
-        for row in params.W:
-            w.writerow([f"{v:.17g}" for v in row])
-        w.writerow([f"{v:.17g}" for v in params.b])
-
-
-def read_params_csv(path) -> RffParams:
-    """Inverse of :func:`write_params_csv`."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    kind, ambient_dim, D, seed = rows[0][0], int(rows[0][1]), int(rows[0][2]), int(rows[0][3])
-    if kind == "gaussian":
-        kernel = gaussian_kernel([float(v) for v in rows[1]])
-    else:
-        kernel = poly2_kernel(ambient_dim)
-    W = np.array([[float(v) for v in row] for row in rows[2 : 2 + D]])
-    b = np.array([float(v) for v in rows[2 + D]])
-    return RffParams(W=W, b=b, D=D, kernel=kernel, seed=seed)

@@ -249,6 +249,24 @@ def test_failed_repetition_writes_status_row(tmp_path):
     assert len(rows) == 2
 
 
+def test_failed_repetitions_say_why_on_stderr(tmp_path, capsys):
+    # one sample per agent: no agent can act as a target, so every repetition fails
+    cfg = replace(TINY, samples_per_agent=1)
+    paths = cmd_run(cfg, tmp_path, threads=2)
+    rows = _read(paths["results"])
+    assert rows[1:] == [
+        ["status", "0", "0", "-1", "error"],
+        ["status", "0", "1", "-1", "error"],
+        ["status", "1", "0", "-1", "error"],
+        ["status", "1", "1", "-1", "error"],
+    ]
+    assert _read(paths["weights"]) == [["target_id"]]
+    reason = "ValueError: agent 0 needs at least two samples to act as a target"
+    assert capsys.readouterr().err.splitlines() == [
+        f"repetition {rep} of grid point {gi} failed: {reason}" for gi in (0, 1) for rep in (0, 1)
+    ]
+
+
 def test_custom_experiment_end_to_end(tmp_path):
     g = np.random.default_rng(0)
     lines = ["agent_id,x_1,x_2,y"]

@@ -18,7 +18,6 @@ from fedkme.embedding import (
     Embedding,
     LocalFeatureSet,
     as_feature_vector,
-    effective_dimension,
     embed,
     kme_inner,
     local_features,
@@ -28,7 +27,6 @@ from fedkme.embedding import (
     poly2_population_embedding,
     q_stat,
     trace_cov_hat,
-    write_embeddings_csv,
 )
 from fedkme.kernels import eval_kernel, gram_matrix, isotropic_gaussian_kernel, poly2_kernel
 from fedkme.rff import featurize, sample_rff
@@ -215,32 +213,6 @@ def test_q_stat_exact_kernel_expansion_matches_feature_form():
     assert kernel_form == pytest.approx(feature_form, rel=1e-10)
 
 
-def test_effective_dimension_rank_one_cases():
-    spread = np.zeros((5, 3))
-    spread[:, 1] = np.arange(5.0)
-    local = LocalFeatureSet(kind=POLY2, features=spread, kernel=poly2_kernel(1))
-    assert effective_dimension(local) == pytest.approx(1.0, abs=1e-8)
-    two = LocalFeatureSet(kind=POLY2, features=np.array([[0.0, 1.0], [2.0, 5.0]]), kernel=poly2_kernel(1))
-    assert effective_dimension(two) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_effective_dimension_isotropic_features_approach_dimension():
-    D = 10
-    g = np.random.default_rng(16)
-    local = LocalFeatureSet(kind=POLY2, features=g.normal(size=(20000, D)), kernel=poly2_kernel(1))
-    assert effective_dimension(local) == pytest.approx(D, rel=0.10)
-
-
-def test_effective_dimension_errors():
-    const = LocalFeatureSet(kind=POLY2, features=np.ones((4, 2)), kernel=poly2_kernel(1))
-    with pytest.raises(ValueError):
-        effective_dimension(const)
-    g = np.random.default_rng(17)
-    exact = local_features(_dataset(g, 4, 2), EXACT, kernel=KERNEL2)
-    with pytest.raises(ValueError):
-        effective_dimension(exact)
-
-
 def test_rff_embedding_norm_invariant_enforced():
     with pytest.raises(ValueError):
         Embedding(kind="rff", n=2, kernel=KERNEL2, v=np.full(8, 1.0))
@@ -294,17 +266,3 @@ def test_as_feature_vector_inner_products_match_closed_form():
     a, b = embed(_dataset(g, 5, 2), POLY2), embed(_dataset(g, 5, 2), POLY2)
     dot = float(as_feature_vector(a) @ as_feature_vector(b))
     assert dot == pytest.approx(kme_inner(a, b), rel=1e-12)
-
-
-def test_write_embeddings_csv(tmp_path):
-    g = np.random.default_rng(22)
-    params = sample_rff(KERNEL2, 4, seed=9)
-    embs = [embed(_dataset(g, 3, 2), params) for _ in range(2)]
-    path = tmp_path / "embs.csv"
-    write_embeddings_csv(path, embs)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "agent_id,n,D,v_1,v_2,v_3,v_4"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "3" and first[2] == "4"
-    np.testing.assert_allclose([float(x) for x in first[3:]], embs[0].v)

@@ -14,6 +14,7 @@ from fedkme.fedsim import (
     CommLedger,
     ProtocolConfig,
     baseline_weights,
+    fit_model,
     run_protocol,
     run_protocol_all,
 )
@@ -81,6 +82,11 @@ def test_single_agent_run():
     assert result.ledger.total("kme") == 0
     kinds = {e[3] for e in result.ledger.entries}
     assert kinds == {"rff_coefficients"}
+    # as the only target, the lone agent uploads to nobody in the all-targets run too
+    rows, ledger = run_protocol_all(_cfg(), datasets)
+    np.testing.assert_allclose(rows[0].w, [1.0])
+    assert ledger.total("kme") == 0
+    assert ledger.entries == result.ledger.entries
 
 
 def test_kme_upload_totals():
@@ -153,13 +159,13 @@ def test_target_validation():
 
 def test_hygiene_guard_catches_foreign_raw_reads(monkeypatch):
     datasets = _agents(8, B=3)
-    real = fedsim.build_problem
+    real = fedsim.learn_weights
 
-    def leaky(embs, local, qcfg):
+    def leaky(embs, locals_, qcfg):
         datasets[2].X.sum()  # a non-target raw read the protocol forbids
-        return real(embs, local, qcfg)
+        return real(embs, locals_, qcfg)
 
-    monkeypatch.setattr(fedsim, "build_problem", leaky)
+    monkeypatch.setattr(fedsim, "learn_weights", leaky)
     with pytest.raises(RuntimeError, match="non-target"):
         run_protocol(_cfg(), datasets, target=0)
 
@@ -172,14 +178,23 @@ def test_hygiene_guard_allows_target_reads():
 
 def test_run_protocol_all_matches_per_target_weights():
     datasets = _agents(10, B=4)
-    cfg = _cfg(D=128, seed=3)
-    rows, ledger = run_protocol_all(cfg, datasets)
-    assert len(rows) == 4
-    for t, row in enumerate(rows):
-        single = run_protocol(cfg, datasets, target=t)
-        np.testing.assert_array_equal(row.w, single.weights.w)
-    # uploads charged once per agent, not once per target
-    assert ledger.total("kme") == 4 * 128
+    # both fit paths; one test id, so the closed-form check keeps its name
+    for path, kind in ((CLOSED_FORM, "ridge"), (FEDAVG, "linear_gd")):
+        cfg = _cfg(D=128, seed=3, optimizer_path=path, model=ModelSpec(kind=kind, lam=0.1), fedavg_rounds=5)
+        rows, ledger = run_protocol_all(cfg, datasets)
+        assert len(rows) == 4
+        # uploads charged once per agent, not once per target
+        assert ledger.total("kme") == 4 * 128
+        for t, row in enumerate(rows):
+            single = run_protocol(cfg, datasets, target=t)
+            np.testing.assert_array_equal(row.w, single.weights.w)
+            before = len(ledger.entries)
+            model = fit_model(cfg, row, datasets, ledger)
+            np.testing.assert_array_equal(model.coefficients, single.model.coefficients)
+            np.testing.assert_array_equal(model.intercept, single.model.intercept)
+            trips = sum(e[3] == "model_round_trip" for e in single.ledger.entries)
+            assert len(ledger.entries) - before == trips
+            assert trips == (5 * int(np.sum(row.w > 0.0)) if path == FEDAVG else 0)
 
 
 def test_run_protocol_all_server_hygiene(monkeypatch):

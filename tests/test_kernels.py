@@ -16,7 +16,6 @@ from fedkme.kernels import (
     gram_matrix,
     isotropic_gaussian_kernel,
     kernel_bound,
-    median_heuristic_bandwidth,
     poly2_kernel,
     spectral_distribution,
 )
@@ -146,13 +145,6 @@ def test_concept_kernel_closed_form():
     dy = z[d] - z2[d]
     expected = math.exp(-float(dx @ dx) / (2 * (d + 1)) - dy**2 / 2)
     assert eval_kernel(spec, z, z2) == pytest.approx(expected, rel=1e-14)
-
-
-def test_median_heuristic_bandwidth():
-    Z = np.array([[0.0], [1.0], [3.0]])  # pairwise distances 1, 2, 3 -> median 2
-    spec = median_heuristic_bandwidth(Z)
-    np.testing.assert_allclose(spec.bandwidth, [1.0 / 8.0])
-    assert spec.ambient_dim == 1
 
 
 def test_kernel_spec_validation():

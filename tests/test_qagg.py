@@ -228,7 +228,7 @@ def test_operator_norm_matches_dense_solver():
 
 def test_learn_weights_single_agent():
     embs, local = _instance(9, n_agents=1)
-    rows = learn_weights(embs, [local], ones_config())
+    rows = learn_weights(embs, {0: local}, ones_config())
     np.testing.assert_allclose(weights_matrix(rows), [[1.0]])
 
 
@@ -238,7 +238,7 @@ def test_learn_weights_shared_dataset_prefers_spreading():
     ds = AgentDataset(g.normal(size=(6, 2)))
     B = 4
     embs = [embed(ds, params)] * B
-    locals_ = [local_features(ds, params)] * B
+    locals_ = {t: local_features(ds, params) for t in range(B)}
     cfg = ones_config()
     rows = learn_weights(embs, locals_, cfg)
     for t, row in enumerate(rows):

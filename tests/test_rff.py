@@ -8,7 +8,7 @@ import pytest
 from fedkme.data import AgentDataset
 from fedkme.embedding import EXACT, local_features, trace_cov_hat
 from fedkme.kernels import eval_kernel, isotropic_gaussian_kernel, poly2_kernel
-from fedkme.rff import RffParams, featurize, featurize_matrix, read_params_csv, sample_rff, write_params_csv
+from fedkme.rff import RffParams, featurize, featurize_matrix, sample_rff
 
 KERNEL3 = isotropic_gaussian_kernel(3)
 
@@ -119,14 +119,3 @@ def test_params_validation():
         RffParams(W=np.zeros((2, 3)), b=np.array([0.0, 7.0]), D=2, kernel=KERNEL3, seed=0)
     with pytest.raises(ValueError):
         RffParams(W=np.zeros((2, 3)), b=np.zeros(3), D=2, kernel=KERNEL3, seed=0)
-
-
-def test_csv_round_trip(tmp_path):
-    params = sample_rff(KERNEL3, 12, seed=33)
-    path = tmp_path / "gamma.csv"
-    write_params_csv(params, path)
-    back = read_params_csv(path)
-    assert np.array_equal(params.W, back.W)
-    assert np.array_equal(params.b, back.b)
-    assert back.kernel == params.kernel
-    assert back.D == params.D and back.seed == params.seed
