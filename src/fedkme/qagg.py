@@ -18,12 +18,27 @@ proxy step: from iterate w, a proxy w' = norm(w * exp(-eta g(w))) is formed,
 and the actual step uses the proxy's gradient, w <- norm(w * exp(-eta g(w'))).
 Updates run in log domain with subtract-max normalization; the learning rate
 is eta = c / (2 ||A||_op + ||b||_inf).
+
+Every target's program shares the Gram matrix G_{kl} = <nu_k, nu_l> and
+differs only in t and b, so :func:`learn_weights` solves all requested targets
+in one batch: one power iteration and one EG loop over a (targets x B) matrix
+of log-weights, each row with its own step size.  A_t is never formed; for a
+stack of vectors x it is applied as
+
+    (A_t x)_k = (G x)_k - (G x)_t - (G_{tk} - G_{tt}) sum(x),
+
+which is exactly 0 at k = t.  G x is computed as one vector-matrix product
+per row rather than one matrix product for the stack, because a matrix
+product rounds each row differently depending on how many rows it holds, and
+a target's weights must not depend on which other targets share the batch.
+:func:`build_problem` and :func:`optimize` are the explicit one-target form,
+and :func:`optimize` runs the same loop on a single row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,26 +153,62 @@ class SimplexWeights:
         return self.w.shape[0]
 
 
-def operator_norm(A: np.ndarray, iters: int = _POWER_ITERS, tol: float = _POWER_TOL) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+def _explicit_operator(A: np.ndarray):
+    """One stored matrix A for every row."""
+    return lambda rows: lambda X: X @ A
 
-    The start vector is a fixed graded ramp, so the estimate is deterministic.
+
+def _gram_operator(G: np.ndarray, targets: np.ndarray):
+    """Row operator X[r] -> A_t X[r] with t = targets[rows[r]], never forming A_t.
+
+    Each row gets its own vector-matrix product, so a row's rounding does not
+    depend on which other rows share the batch.
     """
-    B = A.shape[0]
-    v = np.arange(1.0, B + 1.0)
-    v /= np.linalg.norm(v)
-    lam = 0.0
+    C = G[targets] - G[targets, targets][:, None]
+
+    def bind(rows: np.ndarray):
+        at_t = (np.arange(rows.size) * G.shape[0] + targets[rows])[:, None]  # flat index of (r, t)
+        C_rows = C[rows]
+
+        def apply(X: np.ndarray) -> np.ndarray:
+            Y = (X[:, None, :] @ G)[:, 0, :]
+            return Y - Y.ravel()[at_t] - C_rows * X.sum(axis=1, keepdims=True)
+
+        return apply
+
+    return bind
+
+
+def _power_norms(bind, n_rows: int, B: int, iters: int = _POWER_ITERS, tol: float = _POWER_TOL) -> np.ndarray:
+    """Largest eigenvalue of each row's symmetric PSD operator by power iteration.
+
+    ``bind(rows)`` returns the map X -> (the operator of batch row
+    ``rows[r]`` applied to ``X[r]``, for every r).  Every row starts from the
+    same graded ramp, so the estimates are deterministic, and each row stops
+    on its own tolerance test.
+    """
+    ramp = np.arange(1.0, B + 1.0)
+    v = np.tile(ramp / np.linalg.norm(ramp), (n_rows, 1))
+    lam = np.zeros(n_rows)
+    live = np.arange(n_rows)
     for _ in range(iters):
-        av = A @ v
-        norm = float(np.linalg.norm(av))
-        if norm == 0.0:
-            return 0.0
-        v = av / norm
-        new_lam = float(v @ A @ v)
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            return new_lam
-        lam = new_lam
+        if live.size == 0:
+            break
+        av = bind(live)(v)
+        norm = np.sqrt((av * av).sum(axis=1))
+        nonzero = norm != 0.0
+        lam[live[~nonzero]] = 0.0
+        live, v = live[nonzero], av[nonzero] / norm[nonzero, None]
+        new_lam = (v * bind(live)(v)).sum(axis=1)
+        done = np.abs(new_lam - lam[live]) <= tol * np.maximum(1.0, np.abs(new_lam))
+        lam[live] = new_lam
+        live, v = live[~done], v[~done]
     return lam
+
+
+def operator_norm(A: np.ndarray, iters: int = _POWER_ITERS, tol: float = _POWER_TOL) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix: one row of the batched power iteration."""
+    return float(_power_norms(_explicit_operator(A), 1, A.shape[0], iters, tol)[0])
 
 
 def build_problem(embs: list[Embedding], local: LocalFeatureSet, cfg: QaggConfig) -> QaggProblem:
@@ -203,34 +254,78 @@ def build_problem(embs: list[Embedding], local: LocalFeatureSet, cfg: QaggConfig
 
 
 def _log_normalize(log_w: np.ndarray) -> np.ndarray:
-    shifted = log_w - np.max(log_w)
-    return shifted - math.log(float(np.sum(np.exp(shifted))))
+    shifted = log_w - log_w.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _mirror_prox(bind, b: np.ndarray, denom: np.ndarray, cfg: QaggConfig) -> np.ndarray:
+    """Proxy-step EG descent on every row's program w' A_r w + <b_r, w> at once.
+
+    ``bind`` gives the row operator as in :func:`_power_norms`; row r runs
+    ``cfg.t`` steps of size c / denom[r].  A row with a zero denominator has a
+    constant objective, so its uniform start is already optimal.
+    """
+    n_rows, B = b.shape
+    W = np.full((n_rows, B), 1.0 / B)
+    rows = np.flatnonzero(denom != 0.0) if B > 1 else np.arange(0)
+    if rows.size == 0:
+        return W
+    eta = cfg.c / denom[rows, None]
+    b = b[rows]
+    apply = bind(rows)
+
+    def gradient(X):
+        g = 2.0 * apply(X) + b
+        if not np.isfinite(g).all():
+            raise ArithmeticError("non-finite gradient in weight optimization")
+        return g
+
+    log_w = np.full((rows.size, B), -math.log(B))
+    for _ in range(cfg.t):
+        proxy = np.exp(_log_normalize(log_w - eta * gradient(np.exp(log_w))))
+        log_w = _log_normalize(log_w - eta * gradient(proxy))
+    w = np.exp(log_w)
+    W[rows] = w / w.sum(axis=1, keepdims=True)
+    return W
 
 
 def optimize(problem: QaggProblem, cfg: QaggConfig) -> SimplexWeights:
-    """Minimize the quadratic form over the simplex by proxy-step EG descent."""
-    B = problem.n_agents
-    if B == 1:
-        return SimplexWeights(np.ones(1))
-    denom = 2.0 * problem.op_norm_A + problem.inf_norm_b
-    if denom == 0.0:
-        # constant objective on the simplex; the start point is already optimal
-        return SimplexWeights(np.full(B, 1.0 / B))
-    eta = cfg.c / denom
+    """Minimize the quadratic form over the simplex: one row of the batched EG loop."""
+    denom = np.array([2.0 * problem.op_norm_A + problem.inf_norm_b])
+    return SimplexWeights(_mirror_prox(_explicit_operator(problem.A), problem.b[None, :], denom, cfg)[0])
 
-    log_w = np.full(B, -math.log(B))
-    for _ in range(cfg.t):
-        w = np.exp(log_w)
-        g = problem.gradient(w)
-        if not np.all(np.isfinite(g)):
-            raise ArithmeticError("non-finite gradient in weight optimization")
-        proxy = np.exp(_log_normalize(log_w - eta * g))
-        g_proxy = problem.gradient(proxy)
-        if not np.all(np.isfinite(g_proxy)):
-            raise ArithmeticError("non-finite gradient in weight optimization")
-        log_w = _log_normalize(log_w - eta * g_proxy)
-    w = np.exp(log_w)
-    return SimplexWeights(w / float(w.sum()))
+
+def _assemble(embs: list[Embedding], locals_: dict[int, LocalFeatureSet], cfg: QaggConfig):
+    """The shared Gram matrix G and one row of b per target, in the order of ``locals_``."""
+    B = len(embs)
+    exact = embs[0].kind == EXACT
+    if exact:
+        G = np.array([[kme_inner(ek, el) for el in embs] for ek in embs])
+    else:
+        V = np.stack([as_feature_vector(e) for e in embs])
+        # A_t sees only differences; dropping the common offset avoids
+        # cancellation on large poly2 lifts and keeps identical agents at exactly 0
+        V = V - V[0]
+        G = V @ V.T
+    G = (G + G.T) / 2.0
+
+    b = np.empty((len(locals_), B))
+    for r, (t, local) in enumerate(locals_.items()):
+        n = local.n
+        if exact:
+            q = np.array([0.0 if k == t else q_stat(local, e, embs[t]) for k, e in enumerate(embs)])
+            dist = np.sqrt(np.maximum(np.diag(G) - 2.0 * G[t] + G[t, t], 0.0))
+        else:
+            # from the differences, not G_kk - 2 G_kt + G_tt: a duplicate of the
+            # target must sit at distance 0, not at the root of a rounding residue
+            diffs = V - V[t]
+            dist = np.sqrt((diffs * diffs).sum(axis=1))
+            proj = local.features @ diffs.T
+            proj -= proj.mean(axis=0)
+            q = (proj * proj).sum(axis=0) / (n - 1)
+        b[r] = cfg.c_q * np.sqrt(q) / math.sqrt(n) + cfg.c_p * cfg.m * dist / n
+        b[r, t] = 2.0 * trace_cov_hat(local) / n
+    return G, b
 
 
 def learn_weights(
@@ -238,17 +333,31 @@ def learn_weights(
 ) -> list[SimplexWeights]:
     """Weights for each target, from every agent's embedding and the target's own features.
 
-    ``locals_`` maps a target index to that target's per-point features; one
-    target or all of them take the same loop.  Rows come back in the order of
-    ``locals_``, and ``cfg.target_index`` is replaced by each key in turn.
-    With RFF or poly2 embeddings no agent's raw data is read here; exact
-    embeddings carry their sample and are read through it.
+    ``locals_`` maps a target index to that target's per-point features; rows
+    come back in its order and ``cfg.target_index`` is ignored.  Every target's
+    program is solved in one batch over the shared Gram matrix, and a row does
+    not depend on which other targets are in the batch: asking for one target
+    gives bit for bit the row that asking for all of them gives.  With RFF or
+    poly2 embeddings no agent's raw data is read here; exact embeddings carry
+    their sample and are read through it.
     """
-    rows = []
+    B = len(embs)
+    if B < 1:
+        raise ValueError("at least one agent is required")
+    kind = embs[0].kind
+    if any(e.kind != kind for e in embs) or any(local.kind != kind for local in locals_.values()):
+        raise ValueError("embedding representation does not match local features")
     for t, local in locals_.items():
-        cfg_t = replace(cfg, target_index=t)
-        rows.append(optimize(build_problem(embs, local, cfg_t), cfg_t))
-    return rows
+        if not 0 <= t < B:
+            raise ValueError(f"target index {t} out of range for {B} agents")
+        if local.n < 2:
+            raise ValueError("target agent needs at least two samples")
+
+    targets = np.array(list(locals_), dtype=int)
+    G, b = _assemble(embs, locals_, cfg)
+    bind = _gram_operator(G, targets)
+    denom = 2.0 * _power_norms(bind, targets.size, B) + np.abs(b).max(axis=1)
+    return [SimplexWeights(w) for w in _mirror_prox(bind, b, denom, cfg)]
 
 
 def weights_matrix(rows: list[SimplexWeights]) -> np.ndarray:

@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedkme.data import AgentDataset
-from fedkme.embedding import embed, local_features
+from fedkme.embedding import EXACT, POLY2, embed, local_features
 from fedkme.kernels import isotropic_gaussian_kernel
 from fedkme.qagg import (
     QaggConfig,
@@ -248,6 +250,80 @@ def test_learn_weights_shared_dataset_prefers_spreading():
         e_t[t] = 1.0
         assert problem.objective(row) <= problem.objective(e_t)
         assert problem.objective(uniform) <= problem.objective(e_t)
+
+
+def _reference_row(embs, local, cfg, t):
+    cfg_t = replace(cfg, target_index=t)
+    return optimize(build_problem(embs, local, cfg_t), cfg_t).w
+
+
+@pytest.mark.parametrize("kind", ["rff", POLY2, EXACT])
+def test_learn_weights_rows_match_per_target_reference(kind):
+    g = np.random.default_rng(12)
+    datasets = [AgentDataset(g.normal(loc=g.normal(), size=(n, 2))) for n in (3, 7, 4, 9, 2, 6)]
+    if kind == "rff":
+        mode, kernel = sample_rff(KERNEL2, 24, seed=4), None
+    else:
+        mode, kernel = kind, (KERNEL2 if kind == EXACT else None)
+    embs = [embed(ds, mode, kernel=kernel) for ds in datasets]
+    locals_ = {t: local_features(datasets[t], mode, kernel=kernel) for t in (3, 0, 5)}
+    cfg = ones_config()
+    rows = learn_weights(embs, locals_, cfg)
+    assert len(rows) == 3
+    for t, row in zip(locals_, rows):
+        np.testing.assert_allclose(row.w, _reference_row(embs, locals_[t], cfg, t), rtol=0.0, atol=1e-12)
+        (alone,) = learn_weights(embs, {t: locals_[t]}, cfg)
+        np.testing.assert_array_equal(alone.w, row.w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=st.integers(1, 6), D=st.integers(1, 8), seed=st.integers(0, 2**16), data=st.data())
+def test_learn_weights_rows_match_reference_on_edge_cases(B, D, seed, data):
+    # each agent draws a fresh sample, a sample of one repeated row (zero
+    # covariance), or a copy of an earlier agent's sample (duplicated embedding)
+    g = np.random.default_rng(seed)
+    datasets = []
+    for k in range(B):
+        source = data.draw(st.integers(-2, k - 1), label=f"source of agent {k}")
+        n = int(g.integers(2, 6))
+        if source >= 0:
+            datasets.append(datasets[source])
+        elif source == -1:
+            datasets.append(AgentDataset(g.normal(loc=g.normal(), size=(n, 2))))
+        else:
+            datasets.append(AgentDataset(np.repeat(g.normal(size=(1, 2)), n, axis=0)))
+    params = sample_rff(KERNEL2, D, seed=seed)
+    embs = [embed(ds, params) for ds in datasets]
+    order = data.draw(st.permutations(range(B)), label="target order")
+    targets = order[: data.draw(st.integers(1, B), label="target count")]
+    locals_ = {t: local_features(datasets[t], params) for t in targets}
+    cfg = ones_config(t=200)
+    rows = learn_weights(embs, locals_, cfg)
+    for t, row in zip(targets, rows):
+        np.testing.assert_allclose(row.w, _reference_row(embs, locals_[t], cfg, t), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(learn_weights(embs, {t: locals_[t]}, cfg)[0].w, row.w)
+
+
+def test_learn_weights_degenerate_rows_in_one_batch():
+    # every agent shares one embedding, so A = 0 and b vanishes off the target;
+    # target 1 holds two equal points (zero covariance, so b = 0 too) and
+    # target 3 a varying sample (b_t > 0), in the same call
+    g = np.random.default_rng(13)
+    params = sample_rff(KERNEL2, 16, seed=5)
+    B = 5
+    embs = [embed(AgentDataset(g.normal(size=(6, 2))), params)] * B
+    flat = local_features(AgentDataset(np.repeat(g.normal(size=(1, 2)), 2, axis=0)), params)
+    varied = local_features(AgentDataset(g.normal(size=(6, 2))), params)
+    flat_row, varied_row = learn_weights(embs, {1: flat, 3: varied}, ones_config())
+    np.testing.assert_array_equal(flat_row.w, np.full(B, 1.0 / B))
+    assert varied_row.w[3] < 1.0 / B
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0 at the target entry
+def test_learn_weights_nonfinite_gradient_raises():
+    embs, local = _instance(14)
+    with pytest.raises(ArithmeticError):
+        learn_weights(embs, {0: local}, replace(ones_config(), m=math.inf))
 
 
 def test_weights_matrix_shape():
