@@ -431,7 +431,8 @@ def _safe_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool, with_ba
     try:
         return _run_job(cfg, gi, rep, with_qagg, with_baselines)
     except Exception as exc:
-        param = cfg.grid[gi] if cfg.experiment == CONCEPT else 0.0
+        # a covariate or custom repetition spans every group, so it gets none
+        param = cfg.grid[gi] if cfg.experiment == CONCEPT else -1.0
         return _JobResult([(_STATUS_METHOD, param, rep, -1, "error")], None, None, f"{type(exc).__name__}: {exc}")
 
 

@@ -3,7 +3,9 @@
 An :class:`AgentDataset` holds one agent's sample matrix: features ``X``
 (n rows, d columns), an optional label/target column ``y``, and an optional
 group id.  The full sample tuple ``Z`` is ``[X, y]`` when labels are
-present, else ``X`` alone.
+present, else ``X`` alone.  A labeled dataset also offers its augmented
+second moment ``[X, 1, y]' [X, 1, y] / n``, formed on first request and
+cached, which is all a squared-loss fit needs of it.
 
 Reads of the raw arrays are observable through a module-level audit hook;
 the federated simulator uses it to assert that computing one agent's
@@ -66,6 +68,7 @@ class AgentDataset:
         self._X = X
         self._y = y
         self.group = group
+        self._moments: np.ndarray | None = None
 
     def _record(self) -> None:
         for log in _active_logs():
@@ -80,6 +83,20 @@ class AgentDataset:
     def y(self) -> np.ndarray | None:
         self._record()
         return self._y
+
+    def moments(self) -> np.ndarray:
+        """Augmented second moment M = Z'Z / n with Z = [X, 1, y], shape (d+2, d+2).
+
+        Read once through the audited ``X``/``y`` and cached on the instance;
+        datasets are built per job, so the cache never outlives one job.
+        """
+        if self._moments is None:
+            if self._y is None:
+                raise ValueError("second moments need a labeled dataset")
+            Z = np.column_stack([self.X, np.ones(self.n), self.y])
+            self._moments = Z.T @ Z / self.n
+            self._moments.setflags(write=False)  # shared by every later fit
+        return self._moments
 
     @property
     def has_labels(self) -> bool:

@@ -78,6 +78,17 @@ class CommLedger:
             raise ValueError("scalar_count must be non-negative")
         self._entries.append((round_label, sender, receiver, payload_kind, int(scalar_count)))
 
+    def log_each(
+        self, round_labels: list[str], sender: str, receivers: list[str], payload_kind: str, scalar_count: int,
+    ) -> None:
+        """One :meth:`log` per (round, receiver), rounds outer, as a single append."""
+        if scalar_count < 0:
+            raise ValueError("scalar_count must be non-negative")
+        count = int(scalar_count)
+        self._entries.extend(
+            (label, sender, receiver, payload_kind, count) for label in round_labels for receiver in receivers
+        )
+
     @property
     def entries(self) -> tuple[tuple[str, str, str, str, int], ...]:
         return tuple(self._entries)
@@ -102,8 +113,7 @@ def _charge_gamma(ledger: CommLedger, cfg: ProtocolConfig, mode, n_agents: int) 
     if not isinstance(mode, RffParams):
         return
     payload = cfg.d_rff * (cfg.kernel.ambient_dim + 1)  # W rows plus phases
-    for k in range(n_agents):
-        ledger.log("sampling", "server", f"agent_{k}", "rff_coefficients", payload)
+    ledger.log_each(["sampling"], "server", [f"agent_{k}" for k in range(n_agents)], "rff_coefficients", payload)
 
 
 def _kme_payload(cfg: ProtocolConfig, mode, emb: Embedding) -> int:
@@ -165,10 +175,9 @@ def fit_model(
         rounds=cfg.fedavg_rounds, local_steps=cfg.fedavg_local_steps, lr=cfg.fedavg_lr,
     )
     param_dim = int(np.size(model.coefficients)) + int(np.size(model.intercept))
-    participants = [k for k in range(len(weights)) if weights.w[k] > 0.0]
-    for rnd in range(cfg.fedavg_rounds):
-        for k in participants:
-            ledger.log(f"fedavg_{rnd}", "server", f"agent_{k}", "model_round_trip", 2 * param_dim)
+    participants = [f"agent_{k}" for k in range(len(weights)) if weights.w[k] > 0.0]
+    rounds = [f"fedavg_{rnd}" for rnd in range(cfg.fedavg_rounds)]
+    ledger.log_each(rounds, "server", participants, "model_round_trip", 2 * param_dim)
     return model
 
 

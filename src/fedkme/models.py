@@ -5,15 +5,22 @@ The weighted objective over agents k with simplex weights w_k is
     J(theta) = sum_k w_k * R_k(theta) + lam * ||theta||^2,
 
 with R_k the agent's mean loss (squared error, or softmax cross-entropy for
-classification).  The ridge case has the closed-form normal equations
+classification).  For the squared loss R_k depends on the data only through
+the agent's second moments S_k = X_k' X_k / n_k and r_k = X_k' y_k / n_k,
+where X_k carries an appended intercept column when fit_intercept is set.
+Both are slices of the augmented moment the dataset computes once and caches
+(:meth:`AgentDataset.moments`), so repeated fits never re-read raw rows.  The
+ridge case solves the normal equations
 
-    (sum_k (w_k/n_k) X_k' X_k + lam I) theta = sum_k (w_k/n_k) X_k' y_k,
+    (sum_k w_k S_k + lam I) theta = sum_k w_k r_k
 
-where X_k carries an appended intercept column when fit_intercept is set
-(the penalty applies to the full parameter vector, intercept included).
-The gradient-descent variants run full-batch steps on J; FedAvg alternates
-local steps with weighted parameter averaging and reduces exactly to
-centralized gradient descent when local_steps=1 and all weights are active.
+(the penalty applies to the full parameter vector, intercept included), and
+each full-batch gradient step is one mat-vec with the weighted moments.
+FedAvg runs the local steps of all participants as one batched update, each
+row using only its own S_k and r_k, and the server takes the participants'
+weighted sum of the local models; it reduces exactly to centralized gradient
+descent when local_steps=1 and all weights are active.  Cross-entropy has no
+finite sufficient statistic, so the classifier keeps its row-based gradient.
 """
 
 from __future__ import annotations
@@ -155,12 +162,26 @@ def _normalized(weights: SimplexWeights | np.ndarray) -> np.ndarray:
     return w / total
 
 
+def _moment_slices(w: np.ndarray, datasets: list[AgentDataset], fit_intercept: bool):
+    """Stacked S_k and r_k of the agents with positive weight, plus those weights."""
+    active = np.flatnonzero(w > 0.0)
+    M = np.stack([datasets[k].moments() for k in active])
+    p = datasets[0].dim + (1 if fit_intercept else 0)
+    return M[:, :p, :p], M[:, :p, -1], w[active]
+
+
+# H is a weighted Gram matrix, so forming it rounds at about p * eps of its
+# norm; singular values below this share of the largest are that rounding
+_RANK_RTOL = 1e-12
+
+
 def fit_weighted(spec: ModelSpec, weights: SimplexWeights, datasets: list[AgentDataset]) -> FittedModel:
     """Minimize the weighted empirical risk.
 
-    Ridge solves its normal equations exactly; a singular system with lam=0
-    falls back to the minimum-norm solution and reports status
-    "singular-min-norm".  GD variants run full-batch gradient descent.
+    Ridge solves its normal equations exactly; when the system is singular
+    (numerical rank below p, e.g. lam=0 with fewer samples than parameters)
+    it returns the minimum-norm solution with status "singular-min-norm".
+    GD variants run full-batch gradient descent.
     """
     w = _normalized(weights)
     if len(datasets) != w.shape[0]:
@@ -170,36 +191,24 @@ def fit_weighted(spec: ModelSpec, weights: SimplexWeights, datasets: list[AgentD
         if ds.dim != d:
             raise ValueError("datasets must share one feature dimension")
 
-    if spec.kind == RIDGE:
-        p = d + (1 if spec.fit_intercept else 0)
-        G = np.zeros((p, p))
-        r = np.zeros(p)
-        for wk, ds in zip(w, datasets):
-            if wk == 0.0:
-                continue
-            Xd = _design(ds, spec.fit_intercept)
-            G += (wk / ds.n) * (Xd.T @ Xd)
-            r += (wk / ds.n) * (Xd.T @ ds.y)
-        H = G + spec.lam * np.eye(p)
-        status = "ok"
-        try:
-            theta = np.linalg.solve(H, r)
-        except np.linalg.LinAlgError:
-            theta = None
-        scale = max(float(np.max(np.abs(r))), 1.0)
-        solved = (
-            theta is not None
-            and bool(np.all(np.isfinite(theta)))
-            and float(np.max(np.abs(H @ theta - r))) <= 1e-8 * scale
-        )
-        if not solved:
-            theta, *_ = np.linalg.lstsq(H, r, rcond=None)
-            status = "singular-min-norm"
-        return _unpack(theta, spec, d, status)
+    if spec.kind == LOGISTIC_GD:
+        theta = np.zeros(_param_dim(spec, d))
+        for _ in range(spec.epochs):
+            theta = theta - spec.lr * weighted_gradient(spec, w, datasets, theta)
+        return _unpack(theta, spec, d)
 
-    theta = np.zeros(_param_dim(spec, d))
+    S, r, w_active = _moment_slices(w, datasets, spec.fit_intercept)
+    S_w = np.tensordot(w_active, S, axes=1)
+    r_w = w_active @ r
+    p = S_w.shape[0]
+    if spec.kind == RIDGE:
+        H = S_w + spec.lam * np.eye(p)
+        theta, _, rank, _ = np.linalg.lstsq(H, r_w, rcond=_RANK_RTOL)
+        return _unpack(theta, spec, d, "ok" if rank == p else "singular-min-norm")
+
+    theta = np.zeros(p)
     for _ in range(spec.epochs):
-        theta = theta - spec.lr * weighted_gradient(spec, w, datasets, theta)
+        theta = theta - spec.lr * (2.0 * spec.lam * theta + 2.0 * (S_w @ theta - r_w))
     return _unpack(theta, spec, d)
 
 
@@ -215,9 +224,10 @@ def fedavg(
 
     Each round broadcasts the model, every agent with positive weight takes
     ``local_steps`` gradient steps on its local risk (including the shared
-    lam penalty), and the server averages the resulting parameters with the
-    agents' weights, renormalized over participants, folding in a fixed
-    agent order.
+    lam penalty), and the server replaces the model by the weighted sum of
+    the local models, with the agents' weights renormalized over
+    participants.  For the squared loss all participants step at once, each
+    on its own S_k and r_k.
     """
     w = _normalized(weights)
     if rounds < 0 or local_steps < 1 or lr <= 0:
@@ -226,15 +236,26 @@ def fedavg(
     part_total = float(sum(w[k] for k in participants))
     d = datasets[0].dim
     theta = np.zeros(_param_dim(spec, d))
+    if spec.kind == LOGISTIC_GD:
+        for _ in range(rounds):
+            aggregate = np.zeros_like(theta)
+            for k in participants:
+                local = theta
+                for _ in range(local_steps):
+                    grad = _local_gradient(spec, datasets[k], local) + 2.0 * spec.lam * local
+                    local = local - lr * grad
+                aggregate = aggregate + (w[k] / part_total) * local
+            theta = aggregate
+        return _unpack(theta, spec, d)
+
+    S, r, w_active = _moment_slices(w, datasets, spec.fit_intercept)
+    share = w_active / part_total
     for _ in range(rounds):
-        aggregate = np.zeros_like(theta)
-        for k in participants:
-            local = theta
-            for _ in range(local_steps):
-                grad = _local_gradient(spec, datasets[k], local) + 2.0 * spec.lam * local
-                local = local - lr * grad
-            aggregate = aggregate + (w[k] / part_total) * local
-        theta = aggregate
+        local = theta  # broadcast to one row per participant by the first step
+        for _ in range(local_steps):
+            resid = (S @ local[..., None])[..., 0] - r
+            local = local - lr * (2.0 * resid + 2.0 * spec.lam * local)
+        theta = share @ local
     return _unpack(theta, spec, d)
 
 

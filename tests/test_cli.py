@@ -231,6 +231,30 @@ def test_covariate_param_column_is_the_group(tmp_path):
     assert by_target == {0: 0.0, 1: 0.0, 2: 1.0, 3: 1.0, 4: 2.0, 5: 2.0}
 
 
+def test_failed_covariate_repetition_belongs_to_no_group(tmp_path):
+    # one sample per agent fails every repetition; the status row spans all
+    # groups, so its param is -1 rather than group 0
+    cfg = ExperimentConfig(
+        experiment="covariate_shift",
+        repetitions=2,
+        test_size=30,
+        agents=6,
+        samples_per_agent=1,
+        dim=3,
+        group_sizes=(2, 2),
+        d_rff=32,
+        preset="ones",
+        ridge_penalty=0.1,
+        scope="features",
+        bandwidth="isotropic",
+    )
+    paths = cmd_run(cfg, tmp_path)
+    assert _read(paths["results"])[1:] == [
+        ["status", "-1", "0", "-1", "error"],
+        ["status", "-1", "1", "-1", "error"],
+    ]
+
+
 def test_failed_repetition_writes_status_row(tmp_path):
     train = tmp_path / "train.csv"
     test = tmp_path / "test.csv"

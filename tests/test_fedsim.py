@@ -65,6 +65,20 @@ def test_ledger_is_append_only_accounting():
         led.log("x", "a", "b", "kme", -1)
 
 
+def test_ledger_log_each_is_one_log_per_entry_in_order():
+    bulk, single = CommLedger(), CommLedger()
+    rounds, receivers = ["fedavg_0", "fedavg_1"], ["agent_2", "agent_0", "agent_5"]
+    bulk.log_each(rounds, "server", receivers, "model_round_trip", np.int64(8))
+    for label in rounds:
+        for receiver in receivers:
+            single.log(label, "server", receiver, "model_round_trip", 8)
+    assert bulk.entries == single.entries
+    assert all(type(e[4]) is int for e in bulk.entries)
+    with pytest.raises(ValueError):
+        bulk.log_each(rounds, "server", receivers, "model_round_trip", -1)
+    assert len(bulk.entries) == 6  # a rejected batch appends nothing
+
+
 def test_ledger_csv(tmp_path):
     led = CommLedger()
     led.log("sampling", "server", "agent_0", "rff_coefficients", 10)

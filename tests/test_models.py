@@ -1,9 +1,11 @@
 """Weighted ERM solvers: closed form vs gradient descent vs FedAvg."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fedkme.data import AgentDataset
+from fedkme.data import AgentDataset, audit_raw_access
 from fedkme.models import (
     ACCURACY,
     LINEAR_GD,
@@ -138,6 +140,124 @@ def test_singular_unpenalized_system_reports_min_norm():
     assert np.all(np.isfinite(model.coefficients))
     pred = model.predict(X)
     assert float(np.mean((pred - y) ** 2)) <= 0.01
+
+
+def test_singular_when_fewer_samples_than_parameters():
+    # n < p with lam = 0: the normal equations are singular, and the fit is
+    # their minimum-norm solution however the rounding falls
+    g = np.random.default_rng(23)
+    datasets = [AgentDataset(g.normal(size=(n, 12)), g.normal(size=n)) for n in (4, 5)]
+    w = np.array([0.3, 0.7])
+    model = fit_weighted(ModelSpec(kind=RIDGE, lam=0.0), SimplexWeights(w), datasets)
+    assert model.status == "singular-min-norm"
+    H, r = _row_normal_equations(w, datasets, 0.0, fit_intercept=True)
+    expected = np.linalg.pinv(H, rcond=1e-10) @ r
+    np.testing.assert_allclose(_theta(model), expected, rtol=1e-9, atol=1e-12)
+
+
+def _row_normal_equations(w, datasets, lam, fit_intercept):
+    p = datasets[0].dim + int(fit_intercept)
+    H = lam * np.eye(p)
+    r = np.zeros(p)
+    for wk, ds in zip(w, datasets):
+        Xd = np.hstack([ds.X, np.ones((ds.n, 1))]) if fit_intercept else ds.X
+        H += (wk / ds.n) * (Xd.T @ Xd)
+        r += (wk / ds.n) * (Xd.T @ ds.y)
+    return H, r
+
+
+def _zero_params(spec, datasets):
+    p = datasets[0].dim + int(spec.fit_intercept)
+    return np.zeros((p, spec.classes) if spec.kind == LOGISTIC_GD else p)
+
+
+def _row_gd(spec, w, datasets):
+    theta = _zero_params(spec, datasets)
+    for _ in range(spec.epochs):
+        theta = theta - spec.lr * weighted_gradient(spec, w, datasets, theta)
+    return theta
+
+
+def _row_fedavg(spec, w, datasets, rounds, local_steps, lr):
+    participants = [k for k in range(len(datasets)) if w[k] > 0.0]
+    total = sum(w[k] for k in participants)
+    theta = _zero_params(spec, datasets)
+    for _ in range(rounds):
+        aggregate = np.zeros_like(theta)
+        for k in participants:
+            local = theta
+            for _ in range(local_steps):
+                local = local - lr * weighted_gradient(spec, np.array([1.0]), [datasets[k]], local)
+            aggregate = aggregate + (w[k] / total) * local
+        theta = aggregate
+    return theta
+
+
+def _relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_moment_fits_match_row_based_references():
+    # agents of different sizes, one with zero weight, lam > 0; the same
+    # dataset objects serve fits with and without the intercept column
+    g = np.random.default_rng(24)
+    datasets = []
+    for n in (7, 19, 11, 4):
+        X = g.normal(loc=0.5, size=(n, 3))
+        datasets.append(AgentDataset(X, X @ g.normal(size=3) + 1.5 + 0.2 * g.normal(size=n)))
+    w = np.array([0.45, 0.0, 0.35, 0.2])
+    for fit_intercept in (True, False, True):
+        def params(model):
+            return _theta(model) if fit_intercept else model.coefficients
+
+        ridge = ModelSpec(kind=RIDGE, lam=0.3, fit_intercept=fit_intercept)
+        H, r = _row_normal_equations(w, datasets, ridge.lam, fit_intercept)
+        got = params(fit_weighted(ridge, SimplexWeights(w), datasets))
+        assert _relative_error(got, np.linalg.solve(H, r)) <= 1e-10
+
+        gd = ModelSpec(kind=LINEAR_GD, lam=0.3, lr=0.05, epochs=60, fit_intercept=fit_intercept)
+        got = params(fit_weighted(gd, SimplexWeights(w), datasets))
+        assert _relative_error(got, _row_gd(gd, w, datasets)) <= 1e-10
+
+        fed = fedavg(gd, SimplexWeights(w), datasets, rounds=15, local_steps=4, lr=0.04)
+        assert _relative_error(params(fed), _row_fedavg(gd, w, datasets, 15, 4, 0.04)) <= 1e-10
+
+
+def test_second_fit_reads_no_raw_rows():
+    datasets = _regression_agents(25, B=3, n=12, d=3)
+    w = SimplexWeights(np.array([0.5, 0.3, 0.2]))
+    specs = [ModelSpec(kind=RIDGE, lam=0.1), ModelSpec(kind=LINEAR_GD, lam=0.1, epochs=5)]
+    with audit_raw_access() as first:
+        fit_weighted(specs[0], w, datasets)
+    assert sorted(map(id, set(first))) == sorted(map(id, datasets))
+    with audit_raw_access() as later:
+        for spec in specs + [replace(s, fit_intercept=False) for s in specs]:
+            fit_weighted(spec, w, datasets)
+            fedavg(spec, w, datasets, rounds=3, local_steps=2, lr=0.05)
+    assert later == []
+
+
+def test_moments_are_the_augmented_second_moment():
+    g = np.random.default_rng(26)
+    X, y = g.normal(size=(9, 2)), g.normal(size=9)
+    ds = AgentDataset(X, y)
+    Z = np.column_stack([X, np.ones(9), y])
+    np.testing.assert_allclose(ds.moments(), Z.T @ Z / 9, rtol=1e-14)
+    assert ds.moments() is ds.moments()
+    with pytest.raises(ValueError, match="labeled"):
+        AgentDataset(X).moments()
+    with pytest.raises(ValueError, match="labeled"):
+        fit_weighted(ModelSpec(kind=RIDGE, lam=0.1), np.array([1.0]), [AgentDataset(X)])
+
+
+def test_logistic_fits_keep_the_row_based_bits():
+    g = np.random.default_rng(27)
+    datasets = [AgentDataset(g.normal(size=(n, 2)), g.integers(0, 3, size=n).astype(float)) for n in (8, 13, 5)]
+    w = np.array([0.5, 0.0, 0.5])
+    spec = ModelSpec(kind=LOGISTIC_GD, classes=3, lam=0.05, lr=0.3, epochs=40)
+    np.testing.assert_array_equal(_theta(fit_weighted(spec, SimplexWeights(w), datasets)), _row_gd(spec, w, datasets))
+    fed = fedavg(spec, SimplexWeights(w), datasets, rounds=6, local_steps=3, lr=0.2)
+    np.testing.assert_array_equal(_theta(fed), _row_fedavg(spec, w, datasets, 6, 3, 0.2))
 
 
 def test_gradient_matches_finite_differences():
