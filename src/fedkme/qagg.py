@@ -13,26 +13,25 @@ A_{kl} = <nu_k - nu_t, nu_l - nu_t> (a PSD Gram matrix whose target row and
 column vanish), b[t] = 2 tr(Sigma_t)/n_t, and for k != t
 b[k] = C_Q sqrt(q_k)/sqrt(n_t) + C_P M ||nu_k - nu_t|| / n_t.
 
-The quadratic form is minimized by exponentiated gradient descent with a
-proxy step: from iterate w, a proxy w' = norm(w * exp(-eta g(w))) is formed,
-and the actual step uses the proxy's gradient, w <- norm(w * exp(-eta g(w'))).
-Updates run in log domain with subtract-max normalization; the learning rate
-is eta = c / (2 ||A||_op + ||b||_inf).
+The program is solved exactly by a primal active-set method (Nocedal &
+Wright, *Numerical Optimization*, ch. 16).  It starts at the vertex e_t, where
+the gradient is just b, so e_t is returned at once whenever b_t <= b_k for
+every k.  Each step solves the KKT system of the program restricted to the
+current support; the method stops with a certificate, g_k = lambda on the
+support and g_k >= lambda off it for g = 2 A w + b.  A and b are first divided
+by max(|A|_max, |b|_inf), so its tolerances are relative and poly2 lifts of
+any magnitude behave alike.  When the minimiser is not unique, the minimisers
+form a face on which A w is fixed, and the minimum-norm point of that set is
+returned: identical agents get equal weight, and the zero program gives the
+uniform vector.  ``QaggConfig.t`` caps the number of steps; reaching the cap
+raises ``ArithmeticError``, as does a non-finite entry of A or b.
 
-Every target's program shares the Gram matrix G_{kl} = <nu_k, nu_l> and
-differs only in t and b, so :func:`learn_weights` solves all requested targets
-in one batch: one power iteration and one EG loop over a (targets x B) matrix
-of log-weights, each row with its own step size.  A_t is never formed; for a
-stack of vectors x it is applied as
-
-    (A_t x)_k = (G x)_k - (G x)_t - (G_{tk} - G_{tt}) sum(x),
-
-which is exactly 0 at k = t.  G x is computed as one vector-matrix product
-per row rather than one matrix product for the stack, because a matrix
-product rounds each row differently depending on how many rows it holds, and
-a target's weights must not depend on which other targets share the batch.
-:func:`build_problem` and :func:`optimize` are the explicit one-target form,
-and :func:`optimize` runs the same loop on a single row.
+Every target's program shares the Gram matrix G_{kl} = <nu_k, nu_l>, and
+:func:`learn_weights` assembles G once and forms each target's
+A_t = G - G_t - G_t' + G_tt from it, target by target, so a target's weights
+are the same bits whether it is solved alone or with all the others.
+:func:`build_problem` and :func:`optimize` are the explicit one-target form
+and run the same solver.
 """
 
 from __future__ import annotations
@@ -44,13 +43,18 @@ import numpy as np
 
 from .embedding import EXACT, Embedding, LocalFeatureSet, as_feature_vector, kme_inner, q_stat, trace_cov_hat
 
-_POWER_ITERS = 100
-_POWER_TOL = 1e-10
+# relative to the scaled program, whose largest entry is 1
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class QaggConfig:
-    """Penalty constants and optimizer schedule for weight learning."""
+    """Penalty constants of the weight program and the solver's step cap.
+
+    ``t`` caps the active-set steps of each solve; reaching it raises
+    ``ArithmeticError``.  ``c`` has no effect on the exact solve; it is still
+    validated so that configs which set it keep working.
+    """
 
     c_q: float
     c_p: float
@@ -63,7 +67,7 @@ class QaggConfig:
         if self.c_q <= 0 or self.c_p <= 0 or self.m <= 0 or self.c <= 0:
             raise ValueError("C_Q, C_P, M and the step scale c must be positive")
         if self.t < 1:
-            raise ValueError("iteration count must be at least 1")
+            raise ValueError("step cap t must be at least 1")
         if self.target_index < 0:
             raise ValueError("target index must be non-negative")
 
@@ -153,62 +157,9 @@ class SimplexWeights:
         return self.w.shape[0]
 
 
-def _explicit_operator(A: np.ndarray):
-    """One stored matrix A for every row."""
-    return lambda rows: lambda X: X @ A
-
-
-def _gram_operator(G: np.ndarray, targets: np.ndarray):
-    """Row operator X[r] -> A_t X[r] with t = targets[rows[r]], never forming A_t.
-
-    Each row gets its own vector-matrix product, so a row's rounding does not
-    depend on which other rows share the batch.
-    """
-    C = G[targets] - G[targets, targets][:, None]
-
-    def bind(rows: np.ndarray):
-        at_t = (np.arange(rows.size) * G.shape[0] + targets[rows])[:, None]  # flat index of (r, t)
-        C_rows = C[rows]
-
-        def apply(X: np.ndarray) -> np.ndarray:
-            Y = (X[:, None, :] @ G)[:, 0, :]
-            return Y - Y.ravel()[at_t] - C_rows * X.sum(axis=1, keepdims=True)
-
-        return apply
-
-    return bind
-
-
-def _power_norms(bind, n_rows: int, B: int, iters: int = _POWER_ITERS, tol: float = _POWER_TOL) -> np.ndarray:
-    """Largest eigenvalue of each row's symmetric PSD operator by power iteration.
-
-    ``bind(rows)`` returns the map X -> (the operator of batch row
-    ``rows[r]`` applied to ``X[r]``, for every r).  Every row starts from the
-    same graded ramp, so the estimates are deterministic, and each row stops
-    on its own tolerance test.
-    """
-    ramp = np.arange(1.0, B + 1.0)
-    v = np.tile(ramp / np.linalg.norm(ramp), (n_rows, 1))
-    lam = np.zeros(n_rows)
-    live = np.arange(n_rows)
-    for _ in range(iters):
-        if live.size == 0:
-            break
-        av = bind(live)(v)
-        norm = np.sqrt((av * av).sum(axis=1))
-        nonzero = norm != 0.0
-        lam[live[~nonzero]] = 0.0
-        live, v = live[nonzero], av[nonzero] / norm[nonzero, None]
-        new_lam = (v * bind(live)(v)).sum(axis=1)
-        done = np.abs(new_lam - lam[live]) <= tol * np.maximum(1.0, np.abs(new_lam))
-        lam[live] = new_lam
-        live, v = live[~done], v[~done]
-    return lam
-
-
-def operator_norm(A: np.ndarray, iters: int = _POWER_ITERS, tol: float = _POWER_TOL) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix: one row of the batched power iteration."""
-    return float(_power_norms(_explicit_operator(A), 1, A.shape[0], iters, tol)[0])
+def operator_norm(A: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix."""
+    return float(np.linalg.eigvalsh(A)[-1])
 
 
 def build_problem(embs: list[Embedding], local: LocalFeatureSet, cfg: QaggConfig) -> QaggProblem:
@@ -253,46 +204,79 @@ def build_problem(embs: list[Embedding], local: LocalFeatureSet, cfg: QaggConfig
     )
 
 
-def _log_normalize(log_w: np.ndarray) -> np.ndarray:
-    shifted = log_w - log_w.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _active_set(H, c, E, w, support, free, cap):
+    """Primal active-set method for min w'Hw + <c, w> over {w >= 0, E w = E w0, w_k = 0 off ``free``}.
 
-
-def _mirror_prox(bind, b: np.ndarray, denom: np.ndarray, cfg: QaggConfig) -> np.ndarray:
-    """Proxy-step EG descent on every row's program w' A_r w + <b_r, w> at once.
-
-    ``bind`` gives the row operator as in :func:`_power_norms`; row r runs
-    ``cfg.t`` steps of size c / denom[r].  A row with a zero denominator has a
-    constant objective, so its uniform start is already optimal.
+    Starts from the feasible w0 = ``w``, whose non-zeros lie in ``support``.
+    Each step minimises the program on the current support with the bounds
+    dropped, through the KKT system, by eigendecomposition: the minimum-norm
+    minimiser if the program is bounded there, else the descent direction
+    along which it is unbounded.  A minimiser inside the bounds is taken whole
+    and its multipliers are checked at once; the most negative reduced cost
+    off the support, if any is below -tol, joins the support.  Otherwise the
+    step stops at the first bound it meets and that index leaves the support.
+    Returns the solution and every index's reduced cost (about 0 on the support).
     """
-    n_rows, B = b.shape
-    W = np.full((n_rows, B), 1.0 / B)
-    rows = np.flatnonzero(denom != 0.0) if B > 1 else np.arange(0)
-    if rows.size == 0:
-        return W
-    eta = cfg.c / denom[rows, None]
-    b = b[rows]
-    apply = bind(rows)
+    w = w.copy()
+    e = E @ w
+    support = list(support)
+    n_eq = E.shape[0]
+    for _ in range(cap):
+        S = np.array(support)
+        m = S.size
+        K = np.block([[2.0 * H[np.ix_(S, S)], E[:, S].T], [E[:, S], np.zeros((n_eq, n_eq))]])
+        lam, Q = np.linalg.eigh(K)
+        null = np.abs(lam) <= _TOL * np.abs(lam).max()
+        coef = Q.T @ np.concatenate([-c[S], e])
+        x = Q[:, ~null] @ (coef[~null] / lam[~null])
+        descent = (Q[:, null] @ coef[null])[:m]
+        if np.abs(descent).max(initial=0.0) > _TOL:
+            p, full = descent, math.inf  # unbounded below on the support
+        else:
+            p, full = x[:m] - w[S], 1.0
+        shrink = p < 0.0
+        ratios = -w[S][shrink] / p[shrink]
+        step = min(full, ratios.min(initial=math.inf))
+        if step == math.inf:
+            raise ArithmeticError("weight program is unbounded below on the simplex")
+        if step < full:
+            w[S] = np.maximum(w[S] + step * p, 0.0)
+            blocked = int(S[shrink][np.argmin(ratios)])
+            w[blocked] = 0.0
+            support.remove(blocked)
+            continue
+        w[S] = np.maximum(x[:m], 0.0)
+        reduced = 2.0 * (H[:, S] @ w[S]) + c + E.T @ x[m:]
+        out = free.copy()
+        out[S] = False
+        if not out.any() or reduced[out].min() >= -_TOL:
+            return w, reduced
+        support.append(int(np.flatnonzero(out)[np.argmin(reduced[out])]))
+    raise ArithmeticError(f"weight optimization did not finish within {cap} active-set steps")
 
-    def gradient(X):
-        g = 2.0 * apply(X) + b
-        if not np.isfinite(g).all():
-            raise ArithmeticError("non-finite gradient in weight optimization")
-        return g
 
-    log_w = np.full((rows.size, B), -math.log(B))
-    for _ in range(cfg.t):
-        proxy = np.exp(_log_normalize(log_w - eta * gradient(np.exp(log_w))))
-        log_w = _log_normalize(log_w - eta * gradient(proxy))
-    w = np.exp(log_w)
-    W[rows] = w / w.sum(axis=1, keepdims=True)
-    return W
+def _solve(A: np.ndarray, b: np.ndarray, t: int, cap: int) -> np.ndarray:
+    """Minimiser of w'Aw + <b, w> over the simplex from e_t; the minimum-norm one if it is not unique."""
+    B = b.size
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ArithmeticError("non-finite entry in the weight program")
+    scale = max(float(np.abs(A).max()), float(np.abs(b).max()))
+    if scale == 0.0:
+        return np.full(B, 1.0 / B)  # constant program: uniform is the minimum-norm minimiser
+    A, b = A / scale, b / scale
+    start = np.zeros(B)
+    start[t] = 1.0
+    w, reduced = _active_set(A, b, np.ones((1, B)), start, [t], np.ones(B, dtype=bool), cap)
+    # the optimal face: A w is fixed on it, so its least-norm point solves a second program
+    face = reduced <= _TOL
+    E = np.vstack([np.ones(B), A[face]])
+    w, _ = _active_set(np.eye(B), np.zeros(B), E, w, np.flatnonzero(face), face, cap)
+    return w / w.sum()
 
 
 def optimize(problem: QaggProblem, cfg: QaggConfig) -> SimplexWeights:
-    """Minimize the quadratic form over the simplex: one row of the batched EG loop."""
-    denom = np.array([2.0 * problem.op_norm_A + problem.inf_norm_b])
-    return SimplexWeights(_mirror_prox(_explicit_operator(problem.A), problem.b[None, :], denom, cfg)[0])
+    """Minimize the quadratic form over the simplex, exactly."""
+    return SimplexWeights(_solve(problem.A, problem.b, problem.target_index, cfg.t))
 
 
 def _assemble(embs: list[Embedding], locals_: dict[int, LocalFeatureSet], cfg: QaggConfig):
@@ -334,10 +318,11 @@ def learn_weights(
     """Weights for each target, from every agent's embedding and the target's own features.
 
     ``locals_`` maps a target index to that target's per-point features; rows
-    come back in its order and ``cfg.target_index`` is ignored.  Every target's
-    program is solved in one batch over the shared Gram matrix, and a row does
-    not depend on which other targets are in the batch: asking for one target
-    gives bit for bit the row that asking for all of them gives.  With RFF or
+    come back in its order and ``cfg.target_index`` is ignored.  The Gram matrix
+    is assembled once and each target's program is formed from it and solved
+    on its own, so a row does not depend on which other targets are asked for:
+    asking for one target gives bit for bit the row that asking for all of
+    them gives.  With RFF or
     poly2 embeddings no agent's raw data is read here; exact embeddings carry
     their sample and are read through it.
     """
@@ -353,11 +338,15 @@ def learn_weights(
         if local.n < 2:
             raise ValueError("target agent needs at least two samples")
 
-    targets = np.array(list(locals_), dtype=int)
     G, b = _assemble(embs, locals_, cfg)
-    bind = _gram_operator(G, targets)
-    denom = 2.0 * _power_norms(bind, targets.size, B) + np.abs(b).max(axis=1)
-    return [SimplexWeights(w) for w in _mirror_prox(bind, b, denom, cfg)]
+    rows = []
+    for t, b_t in zip(locals_, b):
+        A = G - G[t] - G[:, t, None] + G[t, t]
+        A = (A + A.T) / 2.0
+        A[t, :] = 0.0
+        A[:, t] = 0.0
+        rows.append(SimplexWeights(_solve(A, b_t, t, cfg.t)))
+    return rows
 
 
 def weights_matrix(rows: list[SimplexWeights]) -> np.ndarray:

@@ -216,25 +216,24 @@ def test_A7_concept_shift_tracks_oracle_then_local_with_crossover():
     15% of the group oracle under low intra-group spread, within 15% of local
     training at full spread, and the oracle/local crossover must fall inside
     [0.3, 0.7].  Configuration was tuned over bandwidth, penalty constants,
-    step count, noise level, and ridge strength; the closest achieved points
-    at sigma_c^2 in {0, 0.1} sit near 1.33x and 1.27x oracle, so the first
-    two assertions document a real shortfall of the method at this scale
-    rather than a regression.
+    step count, noise level, and ridge strength; with the exact weight solve
+    the points at sigma_c^2 in {0, 0.1} sit at 1.41x and 1.35x oracle, so the
+    first two assertions document a real shortfall of the method at this
+    scale rather than a regression.
 
-    Why it falls short, measured on this setup (all 20 x 6 target fits): the
-    mean learned self-weight is 0.239 at sigma_c^2 = 0 and 0.248 at 0.1,
-    against 0.066 for the group oracle (one over the group size), with 0.886
-    and 0.847 of the mass on the correct group.  The optimizer is not the cause: run to
-    20000 steps (mean scaled Frank-Wolfe gap 5e-6, against 9e-4 at 1000)
-    the self-weight stays at 0.234 and 0.242 and qagg/oracle moves to 1.40
-    and 1.35.  The objective's minimizer keeps the target heavy.  There,
-    every agent with weight has the same marginal cost.  The target's is its
-    trace term b_t = 2 tr(Sigma_t)/n_t = 0.180, with no quadratic part,
-    because A's target row vanishes and the target alone is free of the Q
-    and P penalties.  An own-group peer pays its Q + P penalty (0.085 on
+    Why it falls short, measured on this setup (all 20 x 6 target fits, each
+    weight row the certified minimiser of its program): the mean learned
+    self-weight is 0.234 at sigma_c^2 = 0 and 0.242 at 0.1, against 0.067
+    for the group oracle (one over the group size), with 0.906 and 0.860 of
+    the mass on the correct group and about 8 agents in the support.  The
+    objective's minimizer keeps the target heavy.  There, every agent with
+    weight has the same marginal cost.  The target's is its trace term
+    b_t = 2 tr(Sigma_t)/n_t = 0.180, with no quadratic part, because A's
+    target row vanishes and the target alone is free of the Q and P
+    penalties.  A peer in the support pays its Q + P penalty (0.075 on
     average) plus 2 (A w)_k, which grows with the mass already on peers
-    (0.108 on average at the minimizer), so peers stop taking mass while the
-    target still holds about a quarter of it."""
+    (0.104 on average), so peers stop taking mass while the target still
+    holds about a quarter of it."""
     t0 = time.perf_counter()
     B, nk, d, D, noise_var, lam = 30, 10, 10, 200, 8.0, 0.07
     reps, targets = 20, (0, 5, 10, 15, 20, 25)

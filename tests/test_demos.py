@@ -1,7 +1,4 @@
-"""The demos run end to end and print their key lines.
-
-``concept_shift_curve.py`` is left out: it takes several seconds.
-"""
+"""The demos run end to end and print their key lines."""
 
 import runpy
 from pathlib import Path
@@ -22,6 +19,13 @@ def test_weights_on_clusters(capsys):
     assert float(own.split(":")[1]) > 0.5
     # 30 agents receive D x (d + 1) coefficients; the 29 non-targets upload D scalars
     assert f"scalars sent over the wire:    {30 * 300 * 5 + 29 * 300}" in lines
+
+
+def test_concept_shift_curve(capsys):
+    lines = _run("concept_shift_curve.py", capsys).splitlines()
+    assert lines[0] == "sigma_c2   Qagg  Oracle   Local"
+    assert [float(line.split()[0]) for line in lines[1:]] == [0.0, 0.3, 0.5, 0.7, 1.0]
+    assert all(len(line.split()) == 4 for line in lines[1:])
 
 
 def test_cli_quickstart(capsys):

@@ -1,10 +1,14 @@
 """Protocol orchestration, the communication ledger, and baseline weights."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import fedkme.fedsim as fedsim
 from fedkme.data import AgentDataset
+from fedkme.datagen import ConceptShiftSpec, gen_concept_shift
+from fedkme.embedding import POLY2, embed, local_features
 from fedkme.fedsim import (
     CLOSED_FORM,
     FEDAVG,
@@ -18,9 +22,9 @@ from fedkme.fedsim import (
     run_protocol,
     run_protocol_all,
 )
-from fedkme.kernels import isotropic_gaussian_kernel, poly2_kernel
+from fedkme.kernels import concept_shift_kernel, isotropic_gaussian_kernel, kernel_bound, poly2_kernel
 from fedkme.models import ModelSpec
-from fedkme.qagg import ones_config
+from fedkme.qagg import build_problem, default_config, ones_config
 
 
 def _agents(seed, B=5, n=8, d=2, shift=0.0):
@@ -148,7 +152,9 @@ def test_identical_agents_share_weight():
     datasets = [AgentDataset(X.copy(), y.copy()) for _ in range(6)]
     result = run_protocol(_cfg(D=256), datasets, target=0)
     assert result.weights.w[0] < 1.0
-    assert result.weights.w.min() > 0.0
+    # A = 0 and every peer's b is 0 while b_0 = 2 tr(Sigma_0)/n_0 > 0, so every
+    # minimiser leaves the target out; the minimum-norm one splits the rest evenly
+    np.testing.assert_allclose(result.weights.w, [0.0, 0.2, 0.2, 0.2, 0.2, 0.2], rtol=0.0, atol=1e-12)
 
 
 def test_far_shifted_agent_gets_little_weight():
@@ -169,6 +175,50 @@ def test_target_validation():
     tiny = [AgentDataset(np.zeros((1, 2)), np.zeros(1))] + datasets[1:]
     with pytest.raises(ValueError):
         run_protocol(cfg, tiny, target=0)
+
+
+def test_concept_shift_weights_leave_the_target_vertex_as_samples_grow():
+    # sigma_c^2 = 0 and the default penalties at the default study's scale: with
+    # 10 samples per agent the target's own cost b_t = 2 tr(Sigma_t)/n_t is the
+    # cheapest, so every target keeps all its weight; with 100 it is not, and
+    # every target borrows (median self-weight about 0.45, about 10 agents)
+    B, d = 100, 20
+    for n_k, pooled in ((10, False), (100, True)):
+        datasets = gen_concept_shift(ConceptShiftSpec(sigma_c2=0.0, b=B, n_k=n_k, d=d, seed=5))[0]
+        cfg = ProtocolConfig(
+            kernel=concept_shift_kernel(d), d_rff=500, seed=5, qagg=default_config(B),
+            model=ModelSpec(kind="ridge", lam=0.0),
+        )
+        rows, _ = run_protocol_all(cfg, datasets)
+        at_vertex = [row.w[t] == 1.0 for t, row in enumerate(rows)]
+        assert not any(at_vertex) if pooled else all(at_vertex), n_k
+
+
+def test_large_poly2_data_and_single_sample_peers():
+    # poly2 lifts of data at 1e3 and 1e6 reach 1e12 and 1e24: every row must
+    # still be the certified minimiser of its target's program
+    kernel = poly2_kernel(3)
+    for magnitude in (1e3, 1e6):
+        datasets = [AgentDataset(magnitude * ds.X, magnitude * ds.y) for ds in _agents(11, B=6, n=30, shift=0.3)]
+        cfg = _cfg(kernel=kernel, qagg=default_config(6))
+        rows, _ = run_protocol_all(cfg, datasets)
+        embs = [embed(ds, POLY2) for ds in datasets]
+        qcfg = replace(cfg.qagg, m=kernel_bound(kernel, datasets))
+        for t, row in enumerate(rows):
+            problem = build_problem(embs, local_features(datasets[t], POLY2), replace(qcfg, target_index=t))
+            g = problem.gradient(row.w)
+            lam = float(g @ row.w)
+            tol = 1e-9 * max(float(np.abs(problem.A).max()), float(problem.b.max()))
+            on = row.w > 0.0
+            np.testing.assert_allclose(g[on], lam, rtol=0.0, atol=tol)
+            assert np.all(g[~on] >= lam - tol)
+    # a non-target with one sample has no covariance, and needs none
+    datasets = _agents(12, B=4)
+    datasets[2] = AgentDataset(datasets[2].X[:1], datasets[2].y[:1])
+    for cfg in (_cfg(), _cfg(kernel=kernel)):
+        result = run_protocol(cfg, datasets, target=0)
+        assert abs(float(result.weights.w.sum()) - 1.0) <= 1e-12
+        assert result.model.status == "ok"
 
 
 def test_hygiene_guard_catches_foreign_raw_reads(monkeypatch):

@@ -1,5 +1,6 @@
 """Objective assembly and the simplex optimizer against brute-force oracles."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -217,6 +218,81 @@ def test_nonfinite_gradient_raises():
     )
     with pytest.raises(ArithmeticError):
         optimize(problem, ones_config())
+
+
+def _support_oracle(A, b):
+    """Least objective over the simplex, by brute force over supports.
+
+    On every support the equality-constrained program (weights summing to one,
+    zero off the support) is solved through its KKT system; a solution that is
+    consistent and non-negative is a candidate, and the best candidate wins.
+    Every vertex of the set of minimisers is the unique solution on its own
+    support, so the enumeration reaches the minimum.
+    """
+    B = b.size
+    best = math.inf
+    for size in range(1, B + 1):
+        for S in map(list, itertools.combinations(range(B), size)):
+            K = np.block([[2.0 * A[np.ix_(S, S)], np.ones((size, 1))], [np.ones((1, size)), np.zeros((1, 1))]])
+            rhs = np.concatenate([-b[S], [1.0]])
+            x = np.linalg.lstsq(K, rhs, rcond=None)[0]
+            if np.abs(K @ x - rhs).max() > 1e-9 * np.abs(rhs).max() or x[:size].min() < 0.0:
+                continue
+            w = np.zeros(B)
+            w[S] = x[:size]
+            best = min(best, float(w @ A @ w + b @ w))
+    return best
+
+
+def _assert_kkt(problem, w, rtol=1e-9):
+    """g = 2 A w + b equals lambda = g.w on the support and is at least lambda off it."""
+    g = problem.gradient(w)
+    lam = float(g @ w)
+    tol = rtol * max(float(np.abs(problem.A).max()), float(problem.b.max()))
+    on = w > 0.0
+    np.testing.assert_allclose(g[on], lam, rtol=0.0, atol=tol)
+    assert np.all(g[~on] >= lam - tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(B=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_optimize_matches_support_oracle(B, seed, data):
+    # random PSD A of any rank with a vanishing target row, b >= 0, and
+    # optionally one agent duplicated (a tie the minimum-norm rule splits evenly)
+    t = data.draw(st.integers(0, B - 1), label="target")
+    rank = data.draw(st.integers(0, B), label="rank")
+    g = np.random.default_rng(seed)
+    root = g.normal(size=(B, rank))
+    b = np.abs(g.normal(size=B))
+    peers = [k for k in range(B) if k != t]
+    twins = data.draw(st.sampled_from([None] + list(itertools.combinations(peers, 2))), label="twins")
+    if twins is not None:
+        root[twins[1]] = root[twins[0]]
+        b[twins[1]] = b[twins[0]]
+    A = root @ root.T
+    A[t, :] = 0.0
+    A[:, t] = 0.0
+    best = _support_oracle(A, b)
+    for scale in (1.0, 1e12):  # 1e12 is the magnitude of poly2 lifts
+        problem = QaggProblem(
+            A=A * scale, b=b * scale, op_norm_A=operator_norm(A * scale), inf_norm_b=float(b.max() * scale),
+            target_index=t,
+        )
+        w = optimize(problem, ones_config()).w
+        assert problem.objective(w) / scale == pytest.approx(best, rel=1e-9)
+        _assert_kkt(problem, w)
+        if twins is not None:
+            assert w[twins[0]] == pytest.approx(w[twins[1]], abs=1e-12)
+
+
+def test_optimize_raises_at_the_step_cap():
+    # from e_0 the solver needs a second step to bring in agent 1
+    problem = QaggProblem(
+        A=np.diag([0.0, 1.0]), b=np.array([1.0, 0.0]), op_norm_A=1.0, inf_norm_b=1.0, target_index=0,
+    )
+    np.testing.assert_allclose(optimize(problem, ones_config()).w, [0.5, 0.5])
+    with pytest.raises(ArithmeticError, match="active-set steps"):
+        optimize(problem, ones_config(t=1))
 
 
 def test_operator_norm_matches_dense_solver():
