@@ -332,13 +332,13 @@ def _resolve_model(cfg: ExperimentConfig, datasets: list[AgentDataset]) -> Model
     )
 
 
-def _protocol_config(cfg: ExperimentConfig, dim: int, seed: int, model: ModelSpec) -> ProtocolConfig:
+def _protocol_config(cfg: ExperimentConfig, datasets: list[AgentDataset], seed: int) -> ProtocolConfig:
     return ProtocolConfig(
-        kernel=_resolve_kernel(cfg, dim),
+        kernel=_resolve_kernel(cfg, datasets[0].dim),
         d_rff=cfg.d_rff,
         seed=seed,
-        qagg=_resolve_qagg(cfg, cfg.agents),
-        model=model,
+        qagg=_resolve_qagg(cfg, len(datasets)),  # loaded data decides a custom run's agent count
+        model=_resolve_model(cfg, datasets),
         embedding_scope=cfg.scope,
         optimizer_path=cfg.optimizer,
         fedavg_rounds=cfg.fedavg_rounds,
@@ -396,40 +396,41 @@ class _JobResult(NamedTuple):
     error: str | None  # "ExceptionClass: message" of a failed repetition
 
 
-def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool, with_baselines: bool) -> _JobResult:
+def _learn_job(
+    cfg: ExperimentConfig, gi: int, rep: int,
+) -> tuple[_JobData, ProtocolConfig, list[SimplexWeights], CommLedger]:
+    """Protocol steps 1-5 of one job: every agent's weight row and the ledger; no model is fitted."""
     data = _build_data(cfg, gi, rep)
-    B = len(data.datasets)
-    if cfg.experiment == CUSTOM and cfg.agents != B:
-        cfg = replace(cfg, agents=B)  # loaded data decides the agent count
-    model_spec = _resolve_model(cfg, data.datasets)
-    dim = data.datasets[0].dim
-    metric = ACCURACY if cfg.model_kind == LOGISTIC_GD else MSE
+    pcfg = _protocol_config(cfg, data.datasets, rng.derive_seed(cfg.seed, "experiment-protocol", gi, rep))
+    return (data, pcfg, *run_protocol_all(pcfg, data.datasets))
 
+
+def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobResult:
+    """One repetition's results.csv rows: Qagg (if ``with_qagg``) and every baseline."""
+    metric = ACCURACY if cfg.model_kind == LOGISTIC_GD else MSE
     rows: list[tuple] = []
-    wrows = None
-    ledger = None
     if with_qagg:
-        proto_seed = rng.derive_seed(cfg.seed, "experiment-protocol", gi, rep)
-        pcfg = _protocol_config(cfg, dim, proto_seed, model_spec)
-        wrows, ledger = run_protocol_all(pcfg, data.datasets)
-        for t in range(B):
-            model = fit_model(pcfg, wrows[t], data.datasets, ledger)
+        data, pcfg, wrows, ledger = _learn_job(cfg, gi, rep)
+        model_spec = pcfg.model
+        for t, w in enumerate(wrows):
+            model = fit_model(pcfg, w, data.datasets, ledger)
+            rows.append((_QAGG_METHOD, data.params[t], rep, t, evaluate(model, data.tests[t], metric)))
+    else:
+        data, wrows, ledger = _build_data(cfg, gi, rep), None, None
+        model_spec = _resolve_model(cfg, data.datasets)
+    for policy in cfg.baselines:
+        name = _METHOD_NAMES[policy]
+        for t in range(len(data.datasets)):
+            w = baseline_weights(policy, data.datasets, t, data.groups)
+            model = fit_weighted(model_spec, w, data.datasets)
             value = evaluate(model, data.tests[t], metric)
-            rows.append((_QAGG_METHOD, data.params[t], rep, t, value))
-    if with_baselines:
-        for policy in cfg.baselines:
-            name = _METHOD_NAMES[policy]
-            for t in range(B):
-                w = baseline_weights(policy, data.datasets, t, data.groups)
-                model = fit_weighted(model_spec, w, data.datasets)
-                value = evaluate(model, data.tests[t], metric)
-                rows.append((name, data.params[t], rep, t, value))
+            rows.append((name, data.params[t], rep, t, value))
     return _JobResult(rows, wrows, ledger, None)
 
 
-def _safe_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool, with_baselines: bool) -> _JobResult:
+def _safe_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobResult:
     try:
-        return _run_job(cfg, gi, rep, with_qagg, with_baselines)
+        return _run_job(cfg, gi, rep, with_qagg)
     except Exception as exc:
         # a covariate or custom repetition spans every group, so it gets none
         param = cfg.grid[gi] if cfg.experiment == CONCEPT else -1.0
@@ -479,13 +480,13 @@ def cmd_gen(cfg: ExperimentConfig, out_dir: Path) -> Path:
     return out_path
 
 
-def _collect(cfg: ExperimentConfig, threads: int, with_qagg: bool, with_baselines: bool):
+def _collect(cfg: ExperimentConfig, threads: int, with_qagg: bool):
     jobs = [(gi, rep) for gi in range(_grid_size(cfg)) for rep in range(cfg.repetitions)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: _safe_job(cfg, j[0], j[1], with_qagg, with_baselines), jobs))
+            results = list(pool.map(lambda j: _safe_job(cfg, j[0], j[1], with_qagg), jobs))
     else:
-        results = [_safe_job(cfg, gi, rep, with_qagg, with_baselines) for gi, rep in jobs]
+        results = [_safe_job(cfg, gi, rep, with_qagg) for gi, rep in jobs]
     for (gi, rep), res in zip(jobs, results):
         if res.error is not None:
             print(f"repetition {rep} of grid point {gi} failed: {res.error}", file=sys.stderr)
@@ -496,7 +497,7 @@ def _collect(cfg: ExperimentConfig, threads: int, with_qagg: bool, with_baseline
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict[str, Path]:
     """Full grid: learned weights plus baselines, three output files."""
-    rows, snapshot = _collect(cfg, threads, with_qagg=True, with_baselines=True)
+    rows, snapshot = _collect(cfg, threads, with_qagg=True)
     paths = {
         "results": out_dir / "results.csv",
         "weights": out_dir / "weights.csv",
@@ -509,16 +510,16 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict[str,
 
 
 def cmd_weights(cfg: ExperimentConfig, out_dir: Path) -> Path:
-    """Weight learning only, on the first grid point's repetition 0."""
-    result = _run_job(cfg, 0, 0, with_qagg=True, with_baselines=False)
+    """Weight learning only, on the first grid point's repetition 0; no model is fitted."""
+    _, _, wrows, _ = _learn_job(cfg, 0, 0)
     out_path = out_dir / "weights.csv"
-    _write_weights(out_path, result.weights)
+    _write_weights(out_path, wrows)
     return out_path
 
 
 def cmd_baseline(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
     """Baseline policies only; results.csv without Qagg rows."""
-    rows, _ = _collect(cfg, threads, with_qagg=False, with_baselines=True)
+    rows, _ = _collect(cfg, threads, with_qagg=False)
     out_path = out_dir / "results.csv"
     _write_results(out_path, rows)
     return out_path

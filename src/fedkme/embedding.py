@@ -121,8 +121,13 @@ def as_feature_vector(emb: Embedding) -> np.ndarray:
     raise ValueError("exact embeddings have no finite coordinate vector")
 
 
-def embed(dataset: AgentDataset, mode, scope: str = "full", kernel: KernelSpec | None = None) -> Embedding:
-    """Compute an agent's empirical KME.
+def featurize_agent(
+    dataset: AgentDataset, mode, scope: str = "full", kernel: KernelSpec | None = None, with_features: bool = False,
+) -> tuple[Embedding, LocalFeatureSet | None]:
+    """One agent's empirical KME and, if ``with_features``, its per-point features, from one read of its sample.
+
+    The RFF embedding is the mean of the feature matrix a target keeps, so an
+    agent is featurized once whether or not it is a target.
 
     Args:
         dataset: the agent's local sample (non-empty).
@@ -131,27 +136,37 @@ def embed(dataset: AgentDataset, mode, scope: str = "full", kernel: KernelSpec |
         scope: "full" embeds the (x, y) tuples, "features" only the x part
             (requires a labeled dataset).
         kernel: required in "exact" mode; ignored otherwise.
+        with_features: also return the :class:`LocalFeatureSet`; otherwise
+            the second element is None.
     """
     if scope == "features" and not dataset.has_labels:
         raise ValueError("scope='features' requires a dataset with a label column")
     Z = dataset.z(scope)
     if isinstance(mode, RffParams):
-        v = featurize_matrix(mode, Z).mean(axis=0)
-        return Embedding(kind=RFF, n=dataset.n, kernel=mode.kernel, v=v, scope=scope)
-    if mode == POLY2:
-        mean = Z.mean(axis=0)
-        second_moment = Z.T @ Z / Z.shape[0]
-        return Embedding(
+        F = featurize_matrix(mode, Z)
+        emb = Embedding(kind=RFF, n=dataset.n, kernel=mode.kernel, v=F.mean(axis=0), scope=scope)
+    elif mode == POLY2:
+        emb = Embedding(
             kind=POLY2, n=dataset.n, kernel=poly2_kernel(Z.shape[1]),
-            mean=mean, second_moment=second_moment, scope=scope,
+            mean=Z.mean(axis=0), second_moment=Z.T @ Z / Z.shape[0], scope=scope,
         )
-    if mode == EXACT:
+        F = poly2_lift(Z) if with_features else None
+    elif mode == EXACT:
         if kernel is None:
             raise ValueError("exact mode requires an explicit kernel")
         if kernel.ambient_dim != Z.shape[1]:
             raise ValueError("kernel ambient_dim does not match embedded scope")
-        return Embedding(kind=EXACT, n=dataset.n, kernel=kernel, data=dataset, scope=scope)
-    raise ValueError(f"unknown embedding mode {mode!r}")
+        emb = Embedding(kind=EXACT, n=dataset.n, kernel=kernel, data=dataset, scope=scope)
+        F = Z
+    else:
+        raise ValueError(f"unknown embedding mode {mode!r}")
+    local = LocalFeatureSet(kind=emb.kind, features=F, kernel=emb.kernel) if with_features else None
+    return emb, local
+
+
+def embed(dataset: AgentDataset, mode, scope: str = "full", kernel: KernelSpec | None = None) -> Embedding:
+    """An agent's empirical KME; see :func:`featurize_agent` for the arguments."""
+    return featurize_agent(dataset, mode, scope, kernel)[0]
 
 
 def poly2_population_embedding(mean, cov) -> Embedding:
@@ -170,18 +185,7 @@ def poly2_population_embedding(mean, cov) -> Embedding:
 
 def local_features(dataset: AgentDataset, mode, scope: str = "full", kernel: KernelSpec | None = None) -> LocalFeatureSet:
     """Per-point features Phi_i of the target agent, matching :func:`embed`."""
-    if scope == "features" and not dataset.has_labels:
-        raise ValueError("scope='features' requires a dataset with a label column")
-    Z = dataset.z(scope)
-    if isinstance(mode, RffParams):
-        return LocalFeatureSet(kind=RFF, features=featurize_matrix(mode, Z), kernel=mode.kernel)
-    if mode == POLY2:
-        return LocalFeatureSet(kind=POLY2, features=poly2_lift(Z), kernel=poly2_kernel(Z.shape[1]))
-    if mode == EXACT:
-        if kernel is None:
-            raise ValueError("exact mode requires an explicit kernel")
-        return LocalFeatureSet(kind=EXACT, features=Z, kernel=kernel)
-    raise ValueError(f"unknown feature mode {mode!r}")
+    return featurize_agent(dataset, mode, scope, kernel, with_features=True)[1]
 
 
 def _check_compatible(a: Embedding, b: Embedding) -> None:

@@ -1,10 +1,11 @@
 """In-process federated protocol simulator with a communication ledger.
 
 The six protocol steps for a target agent are: the server samples the shared
-random-feature coefficients, broadcasts them, every agent computes its local
-embedding, non-target agents upload their embeddings (exactly once), the
-collaboration weights are learned from the embeddings and the target's own
-per-point features, and the weighted risk is minimized (closed form or FedAvg).
+random-feature coefficients, broadcasts them, each agent featurizes its sample
+once (the mean is its embedding, and a target keeps the matrix), non-target
+agents upload their embeddings (exactly once), the collaboration weights are
+learned from the embeddings and the target's own per-point features, and the
+weighted risk is minimized (closed form or FedAvg).
 
 :func:`run_protocol_all` runs steps 1-5 with every agent as a target;
 :func:`run_protocol` is its one-target slice followed by :func:`fit_model`,
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import AgentDataset, audit_raw_access
-from .embedding import POLY2, Embedding, embed, local_features
+from .embedding import POLY2, Embedding, featurize_agent
 from .kernels import GAUSSIAN, KernelSpec, kernel_bound
 from .models import FittedModel, ModelSpec, fedavg, fit_weighted
 from .qagg import QaggConfig, SimplexWeights, learn_weights
@@ -133,7 +134,11 @@ def _weight_cfg(cfg: ProtocolConfig, mode, datasets) -> QaggConfig:
 def _learn(
     cfg: ProtocolConfig, datasets: list[AgentDataset], targets: list[int],
 ) -> tuple[list[SimplexWeights], CommLedger]:
-    """Protocol steps 1-5 for the given targets: one weight row per target, in order."""
+    """Protocol steps 1-5 for the given targets: one weight row per target, in order.
+
+    Each agent featurizes its sample once: the mean is its embedding, and a
+    target keeps the matrix, before the raw-data audit window opens.
+    """
     B = len(datasets)
     if B < 1:
         raise ValueError("at least one agent is required")
@@ -146,7 +151,11 @@ def _learn(
     ledger = CommLedger()
     mode = sample_rff(cfg.kernel, cfg.d_rff, cfg.seed) if cfg.kernel.kind == GAUSSIAN else POLY2
     _charge_gamma(ledger, cfg, mode, B)
-    embeddings = [embed(ds, mode, scope=cfg.embedding_scope) for ds in datasets]
+    # a target's per-point features are its own local computation
+    kept = set(targets)
+    pairs = [featurize_agent(ds, mode, cfg.embedding_scope, with_features=k in kept) for k, ds in enumerate(datasets)]
+    embeddings = [emb for emb, _ in pairs]
+    locals_ = {t: pairs[t][1] for t in targets}
     for k, emb in enumerate(embeddings):
         if targets == [k]:
             continue  # the only target's embedding never leaves it
@@ -154,8 +163,6 @@ def _learn(
         if not isinstance(mode, RffParams):
             ledger.log("kme_upload", f"agent_{k}", "server", "kernel_bound", 1)
 
-    # a target's per-point features are its own local computation
-    locals_ = {t: local_features(datasets[t], mode, scope=cfg.embedding_scope) for t in targets}
     qcfg = _weight_cfg(cfg, mode, datasets)
     with audit_raw_access() as log:
         rows = learn_weights(embeddings, locals_, qcfg)

@@ -351,3 +351,61 @@ def test_main_seed_flag_overrides_config(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--out", str(a_dir)]) == 0
     assert main(["run", "--config", str(cfg_path), "--out", str(b_dir), "--seed", "123"]) == 0
     assert (a_dir / "results.csv").read_bytes() != (b_dir / "results.csv").read_bytes()
+
+
+def test_cmd_weights_fits_no_model(tmp_path, monkeypatch):
+    import fedkme.cli as cli
+
+    for cfg in (TINY, replace(TINY, optimizer="fedavg", model_kind="linear_gd", fedavg_rounds=3)):
+        run_dir, weights_dir = tmp_path / f"run-{cfg.optimizer}", tmp_path / f"weights-{cfg.optimizer}"
+        run_dir.mkdir()
+        weights_dir.mkdir()
+        expected = cmd_run(cfg, run_dir)["weights"].read_bytes()
+        with monkeypatch.context() as m:
+            for name in ("fit_model", "evaluate", "fit_weighted"):
+                m.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(f"cmd_weights called {_name}"))
+            assert cmd_weights(cfg, weights_dir).read_bytes() == expected
+
+
+def _write_custom(tmp_path, sizes, scale=1.0, seed=0):
+    g = np.random.default_rng(seed)
+    lines = ["agent_id,x_1,x_2,y"]
+    for agent, n in enumerate(sizes):
+        for _ in range(n):
+            x = scale * g.normal(size=2)
+            y = x.sum() + scale * g.normal()
+            lines.append(f"{agent},{x[0]:.17g},{x[1]:.17g},{y:.17g}")
+    for name in ("train.csv", "test.csv"):
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+
+
+def _custom_config(tmp_path, **overrides):
+    cfg = replace(
+        TINY, experiment="custom", repetitions=1, grid=(0.0,),
+        train_path=str(tmp_path / "train.csv"), test_path=str(tmp_path / "test.csv"), **overrides,
+    )
+    path = tmp_path / "exp.cfg"
+    path.write_text(serialize_config(cfg))
+    return path
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "poly2"])
+def test_run_with_a_single_sample_agent_fails_with_a_clear_message(tmp_path, capsys, kernel):
+    _write_custom(tmp_path, [6, 1, 6])
+    cfg_path = _custom_config(tmp_path, kernel_kind=kernel, bandwidth="isotropic")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert _read(tmp_path / "out" / "results.csv")[1:] == [["status", "-1", "0", "-1", "error"]]
+    assert "agent 1 needs at least two samples to act as a target" in capsys.readouterr().err
+
+
+def test_run_on_poly2_data_at_1e6(tmp_path):
+    _write_custom(tmp_path, [8, 10, 12], scale=1e6, seed=1)
+    cfg_path = _custom_config(tmp_path, kernel_kind="poly2", scope="features")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    weights = np.array([[float(v) for v in r[1:]] for r in _read(tmp_path / "out" / "weights.csv")[1:]])
+    assert weights.shape == (3, 3)
+    assert np.all(weights >= 0.0)
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+    results = _read(tmp_path / "out" / "results.csv")[1:]
+    assert len(results) == 4 * 3
+    assert all(np.isfinite(float(r[4])) for r in results)

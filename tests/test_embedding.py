@@ -19,6 +19,7 @@ from fedkme.embedding import (
     LocalFeatureSet,
     as_feature_vector,
     embed,
+    featurize_agent,
     kme_inner,
     local_features,
     mmd2,
@@ -29,7 +30,7 @@ from fedkme.embedding import (
     trace_cov_hat,
 )
 from fedkme.kernels import eval_kernel, gram_matrix, isotropic_gaussian_kernel, poly2_kernel
-from fedkme.rff import featurize, sample_rff
+from fedkme.rff import featurize, featurize_matrix, sample_rff
 
 KERNEL2 = isotropic_gaussian_kernel(2)
 
@@ -266,3 +267,39 @@ def test_as_feature_vector_inner_products_match_closed_form():
     a, b = embed(_dataset(g, 5, 2), POLY2), embed(_dataset(g, 5, 2), POLY2)
     dot = float(as_feature_vector(a) @ as_feature_vector(b))
     assert dot == pytest.approx(kme_inner(a, b), rel=1e-12)
+
+
+def test_featurize_agent_matches_embed_and_local_features_bit_for_bit():
+    # one featurization yields both objects: the RFF embedding is the mean of
+    # the very matrix a target keeps, so nothing differs from two passes
+    g = np.random.default_rng(22)
+    X, y = g.normal(size=(7, 2)), g.normal(size=7)
+    ds = AgentDataset(X, y)
+    cases = (
+        (sample_rff(isotropic_gaussian_kernel(3), 24, seed=8), "full", None),
+        (sample_rff(KERNEL2, 24, seed=9), "features", None),
+        (POLY2, "full", None),
+        (POLY2, "features", None),
+        (EXACT, "full", isotropic_gaussian_kernel(3)),
+    )
+    for mode, scope, kernel in cases:
+        Z = np.column_stack([X, y]) if scope == "full" else X
+        emb, local = featurize_agent(ds, mode, scope, kernel, with_features=True)
+        ref_emb = embed(ds, mode, scope=scope, kernel=kernel)
+        ref_local = local_features(ds, mode, scope=scope, kernel=kernel)
+        assert (emb.kind, emb.n, emb.kernel, emb.scope) == (ref_emb.kind, ref_emb.n, ref_emb.kernel, ref_emb.scope)
+        assert (local.kind, local.kernel) == (ref_local.kind, ref_local.kernel)
+        assert np.array_equal(local.features, ref_local.features)
+        if mode == POLY2:
+            assert np.array_equal(emb.mean, ref_emb.mean) and np.array_equal(emb.mean, Z.mean(axis=0))
+            assert np.array_equal(emb.second_moment, ref_emb.second_moment)
+            assert np.array_equal(emb.second_moment, Z.T @ Z / Z.shape[0])
+            assert np.array_equal(local.features, poly2_lift(Z))
+        elif mode == EXACT:
+            assert emb.data is ds and ref_emb.data is ds
+            assert np.array_equal(local.features, Z)
+        else:
+            F = featurize_matrix(mode, Z)
+            assert np.array_equal(emb.v, ref_emb.v) and np.array_equal(emb.v, F.mean(axis=0))
+            assert np.array_equal(local.features, F)
+        assert featurize_agent(ds, mode, scope, kernel)[1] is None

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fedkme.embedding as embedding
 import fedkme.fedsim as fedsim
 from fedkme.data import AgentDataset
 from fedkme.datagen import ConceptShiftSpec, gen_concept_shift
@@ -24,7 +25,8 @@ from fedkme.fedsim import (
 )
 from fedkme.kernels import concept_shift_kernel, isotropic_gaussian_kernel, kernel_bound, poly2_kernel
 from fedkme.models import ModelSpec
-from fedkme.qagg import build_problem, default_config, ones_config
+from fedkme.qagg import build_problem, default_config, learn_weights, ones_config
+from fedkme.rff import sample_rff
 
 
 def _agents(seed, B=5, n=8, d=2, shift=0.0):
@@ -329,3 +331,34 @@ def test_baseline_errors():
         baseline_weights("median", datasets, target=0)
     with pytest.raises(ValueError):
         baseline_weights(LOCAL, datasets, target=5)
+
+
+def test_each_agent_is_featurized_once(monkeypatch):
+    datasets = [AgentDataset(ds.X[: 5 + k], ds.y[: 5 + k]) for k, ds in enumerate(_agents(13, B=4, n=10))]
+    calls = []
+    real = embedding.featurize_matrix
+
+    def counting(params, Z):
+        calls.append(Z.shape[0])
+        return real(params, Z)
+
+    monkeypatch.setattr(embedding, "featurize_matrix", counting)
+    run_protocol_all(_cfg(), datasets)
+    assert calls == [ds.n for ds in datasets]
+    calls.clear()
+    run_protocol(_cfg(), datasets, target=2)
+    assert calls == [ds.n for ds in datasets]
+
+
+def test_run_protocol_all_matches_learn_weights_on_embed_and_local_features():
+    datasets = _agents(14, B=5, n=12, shift=0.5)
+    for cfg in (_cfg(D=96, seed=4), _cfg(kernel=poly2_kernel(3), qagg=default_config(5))):
+        rows, _ = run_protocol_all(cfg, datasets)
+        if cfg.kernel.kind == "poly2":
+            mode, qcfg = POLY2, replace(cfg.qagg, m=kernel_bound(cfg.kernel, datasets))
+        else:
+            mode, qcfg = sample_rff(cfg.kernel, cfg.d_rff, cfg.seed), cfg.qagg
+        embs = [embed(ds, mode) for ds in datasets]
+        ref = learn_weights(embs, {t: local_features(ds, mode) for t, ds in enumerate(datasets)}, qcfg)
+        for row, want in zip(rows, ref, strict=True):
+            assert np.array_equal(row.w, want.w)
