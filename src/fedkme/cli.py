@@ -42,7 +42,7 @@ from .datagen import (
     covariate_shift_test_sets,
     gen_concept_shift,
     gen_covariate_shift,
-    load_csv,
+    load_csv_agents,
     write_csv,
 )
 from .fedsim import (
@@ -54,6 +54,7 @@ from .fedsim import (
     CommLedger,
     ProtocolConfig,
     baseline_weights,
+    charge_fedavg,
     fit_model,
     run_protocol_all,
 )
@@ -66,7 +67,7 @@ from .kernels import (
     isotropic_gaussian_kernel,
     poly2_kernel,
 )
-from .models import ACCURACY, LOGISTIC_GD, MSE, ModelSpec, evaluate, fit_weighted
+from .models import ACCURACY, LOGISTIC_GD, MSE, FittedModel, ModelSpec, evaluate, fit_weighted
 from .qagg import SimplexWeights, default_config, ones_config, theory_config, weights_matrix
 
 CONCEPT = "concept_shift"
@@ -307,14 +308,18 @@ def _resolve_kernel(cfg: ExperimentConfig, dim: int) -> KernelSpec:
     return gaussian_kernel(values)
 
 
-def _resolve_qagg(cfg: ExperimentConfig, n_agents: int):
+def _resolve_qagg(cfg: ExperimentConfig, datasets: list[AgentDataset]):
+    """The weight program's constants; the loaded data, not the config, gives a custom run's B and n."""
     overrides = {"t": cfg.steps, "c": cfg.step_scale}
     if cfg.preset == "default":
-        return default_config(n_agents, **overrides)
+        return default_config(len(datasets), **overrides)
     if cfg.preset == "ones":
         return ones_config(**overrides)
     if cfg.preset == "theory":
-        return theory_config(n_agents, cfg.samples_per_agent, **overrides)
+        sizes = sorted({ds.n for ds in datasets})
+        if len(sizes) != 1:
+            raise ValueError(f"the theory preset needs one sample count for every agent, got {sizes}")
+        return theory_config(len(datasets), sizes[0], **overrides)
     return ones_config(c_q=cfg.c_q, c_p=cfg.c_p, **overrides)
 
 
@@ -337,7 +342,7 @@ def _protocol_config(cfg: ExperimentConfig, datasets: list[AgentDataset], seed: 
         kernel=_resolve_kernel(cfg, datasets[0].dim),
         d_rff=cfg.d_rff,
         seed=seed,
-        qagg=_resolve_qagg(cfg, len(datasets)),  # loaded data decides a custom run's agent count
+        qagg=_resolve_qagg(cfg, datasets),
         model=_resolve_model(cfg, datasets),
         embedding_scope=cfg.scope,
         optimizer_path=cfg.optimizer,
@@ -376,12 +381,15 @@ def _build_data(cfg: ExperimentConfig, gi: int, rep: int) -> _JobData:
         tests = covariate_shift_test_sets(spec, cfg.test_size)
         params = [float(g) for g in groups]
     else:
-        datasets = load_csv(cfg.train_path, CsvSchema())
-        tests = load_csv(cfg.test_path, CsvSchema())
-        if len(tests) != len(datasets):
+        train_by_id = load_csv_agents(cfg.train_path, CsvSchema())
+        test_by_id = load_csv_agents(cfg.test_path, CsvSchema())
+        if list(test_by_id) != list(train_by_id):
+            # agents pair with their test sets by position, so ids and order must both match
             raise ValueError(
-                f"train file has {len(datasets)} agents but test file has {len(tests)}"
+                f"test file lists agents {list(test_by_id)} but train file lists {list(train_by_id)}; "
+                "both must list the same agent ids in the same order"
             )
+        datasets, tests = list(train_by_id.values()), list(test_by_id.values())
         groups = list(cfg.groups) if cfg.groups else [0] * len(datasets)
         if len(groups) != len(datasets):
             raise ValueError(f"experiment.groups lists {len(groups)} agents, data has {len(datasets)}")
@@ -406,15 +414,33 @@ def _learn_job(
 
 
 def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobResult:
-    """One repetition's results.csv rows: Qagg (if ``with_qagg``) and every baseline."""
+    """One repetition's results.csv rows: Qagg (if ``with_qagg``) and every baseline.
+
+    Weight rows repeat within a job (a vertex Qagg row is that target's Local
+    row, every GrandMean row is the same), so each distinct (fit path, weight
+    row) is fitted once and each distinct (model, target) is evaluated once.
+    Fitting and evaluation are deterministic, so reuse changes no output byte.
+    """
     metric = ACCURACY if cfg.model_kind == LOGISTIC_GD else MSE
     rows: list[tuple] = []
+    models: dict[tuple[str, bytes], FittedModel] = {}
+    values: dict[tuple[tuple[str, bytes], int], float] = {}
+
+    def score(key: tuple[str, bytes], t: int) -> float:
+        if (key, t) not in values:
+            values[key, t] = evaluate(models[key], data.tests[t], metric)
+        return values[key, t]
+
     if with_qagg:
         data, pcfg, wrows, ledger = _learn_job(cfg, gi, rep)
         model_spec = pcfg.model
         for t, w in enumerate(wrows):
-            model = fit_model(pcfg, w, data.datasets, ledger)
-            rows.append((_QAGG_METHOD, data.params[t], rep, t, evaluate(model, data.tests[t], metric)))
+            key = (pcfg.optimizer_path, w.w.tobytes())
+            if key in models:
+                charge_fedavg(pcfg, w, models[key], ledger)
+            else:
+                models[key] = fit_model(pcfg, w, data.datasets, ledger)
+            rows.append((_QAGG_METHOD, data.params[t], rep, t, score(key, t)))
     else:
         data, wrows, ledger = _build_data(cfg, gi, rep), None, None
         model_spec = _resolve_model(cfg, data.datasets)
@@ -422,9 +448,10 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
         name = _METHOD_NAMES[policy]
         for t in range(len(data.datasets)):
             w = baseline_weights(policy, data.datasets, t, data.groups)
-            model = fit_weighted(model_spec, w, data.datasets)
-            value = evaluate(model, data.tests[t], metric)
-            rows.append((name, data.params[t], rep, t, value))
+            key = (CLOSED_FORM, w.w.tobytes())
+            if key not in models:
+                models[key] = fit_weighted(model_spec, w, data.datasets)
+            rows.append((name, data.params[t], rep, t, score(key, t)))
     return _JobResult(rows, wrows, ledger, None)
 
 

@@ -215,6 +215,11 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> list[AgentDataset]:
 
     Errors carry 1-based physical row numbers (the header is row 1).
     """
+    return list(load_csv_agents(path, schema).values())
+
+
+def load_csv_agents(path, schema: CsvSchema = CsvSchema()) -> dict[str, AgentDataset]:
+    """:func:`load_csv` keyed by agent id, in the same first-appearance order."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -263,9 +268,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> list[AgentDataset]:
 
     if not by_agent:
         raise ValueError(f"{path}: no data rows")
-    datasets = []
-    for agent, (feats, labels) in by_agent.items():
-        if not feats:
-            raise ValueError(f"{path}: agent {agent!r} has no rows")
-        datasets.append(AgentDataset(np.array(feats), np.array(labels) if labels else None))
-    return datasets
+    return {
+        agent: AgentDataset(np.array(feats), np.array(labels) if labels else None)
+        for agent, (feats, labels) in by_agent.items()
+    }

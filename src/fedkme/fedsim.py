@@ -181,11 +181,23 @@ def fit_model(
         cfg.model, weights, datasets,
         rounds=cfg.fedavg_rounds, local_steps=cfg.fedavg_local_steps, lr=cfg.fedavg_lr,
     )
+    charge_fedavg(cfg, weights, model, ledger)
+    return model
+
+
+def charge_fedavg(cfg: ProtocolConfig, weights: SimplexWeights, model: FittedModel, ledger: CommLedger) -> None:
+    """Charge one target's FedAvg rounds: a round trip of ``model`` per round and participant.
+
+    A no-op on the closed-form path.  The ledger models every target's own
+    FedAvg run, so a target whose equal weight row lets it reuse another
+    target's model is still charged in full.
+    """
+    if cfg.optimizer_path != FEDAVG:
+        return
     param_dim = int(np.size(model.coefficients)) + int(np.size(model.intercept))
     participants = [f"agent_{k}" for k in range(len(weights)) if weights.w[k] > 0.0]
     rounds = [f"fedavg_{rnd}" for rnd in range(cfg.fedavg_rounds)]
     ledger.log_each(rounds, "server", participants, "model_round_trip", 2 * param_dim)
-    return model
 
 
 def run_protocol(cfg: ProtocolConfig, datasets: list[AgentDataset], target: int) -> ProtocolResult:

@@ -1,11 +1,13 @@
 """Config parsing, the four subcommands, and exit-code behavior."""
 
 import csv
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fedkme import cli, fedsim, models
 from fedkme.cli import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +21,7 @@ from fedkme.cli import (
     serialize_config,
     validate_config,
 )
+from fedkme.qagg import SimplexWeights, theory_config, weights_matrix
 
 TINY = ExperimentConfig(
     grid=(0.0, 1.0),
@@ -409,3 +412,150 @@ def test_run_on_poly2_data_at_1e6(tmp_path):
     results = _read(tmp_path / "out" / "results.csv")[1:]
     assert len(results) == 4 * 3
     assert all(np.isfinite(float(r[4])) for r in results)
+
+
+def test_custom_run_rejects_test_agents_in_another_order(tmp_path, capsys):
+    _write_custom(tmp_path, [5, 6, 7])
+    lines = (tmp_path / "test.csv").read_text().splitlines()
+    header, body = lines[0], lines[1:]
+    swapped = [r for r in body if r.startswith("1,")] + [r for r in body if not r.startswith("1,")]
+    (tmp_path / "test.csv").write_text("\n".join([header, *swapped]) + "\n")
+    cfg_path = _custom_config(tmp_path)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert _read(tmp_path / "out" / "results.csv")[1:] == [["status", "-1", "0", "-1", "error"]]
+    err = capsys.readouterr().err
+    assert "test file lists agents ['1', '0', '2'] but train file lists ['0', '1', '2']" in err
+    assert "same agent ids in the same order" in err
+
+
+def test_theory_preset_takes_n_from_the_loaded_data(tmp_path):
+    # the config says 6 samples per agent; the files hold 40, and 40 is what counts
+    _write_custom(tmp_path, [40, 40, 40], seed=3)
+    cfg = replace(TINY, experiment="custom", repetitions=1, grid=(0.0,), preset="theory",
+                  train_path=str(tmp_path / "train.csv"), test_path=str(tmp_path / "test.csv"))
+    assert cfg.samples_per_agent != 40
+    theory = theory_config(3, 40, t=cfg.steps, c=cfg.step_scale)
+    assert cli._learn_job(cfg, 0, 0)[1].qagg == theory
+
+    manual = replace(cfg, preset="manual", c_q=theory.c_q, c_p=theory.c_p)
+    (tmp_path / "theory").mkdir()
+    (tmp_path / "manual").mkdir()
+    assert cmd_weights(cfg, tmp_path / "theory").read_bytes() == cmd_weights(manual, tmp_path / "manual").read_bytes()
+
+
+def test_theory_preset_needs_one_sample_count(tmp_path, capsys):
+    _write_custom(tmp_path, [6, 8, 6])
+    cfg_path = _custom_config(tmp_path, preset="theory")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert _read(tmp_path / "out" / "results.csv")[1:] == [["status", "-1", "0", "-1", "error"]]
+    assert "the theory preset needs one sample count for every agent, got [6, 8]" in capsys.readouterr().err
+
+
+def _job_without_reuse(cfg, gi, rep, with_qagg):
+    """Reference job loop: every row fitted and evaluated on its own, as if nothing repeated."""
+    data, pcfg, wrows, ledger = cli._learn_job(cfg, gi, rep)
+    rows = []
+    for t, w in enumerate(wrows):
+        model = fedsim.fit_model(pcfg, w, data.datasets, ledger)
+        rows.append(("Qagg", data.params[t], rep, t, models.evaluate(model, data.tests[t], models.MSE)))
+    for policy in cfg.baselines:
+        for t in range(len(data.datasets)):
+            w = fedsim.baseline_weights(policy, data.datasets, t, data.groups)
+            model = models.fit_weighted(pcfg.model, w, data.datasets)
+            value = models.evaluate(model, data.tests[t], models.MSE)
+            rows.append((cli._METHOD_NAMES[policy], data.params[t], rep, t, value))
+    return cli._JobResult(rows, wrows, ledger, None)
+
+
+def _assert_reuse_changes_no_byte(tmp_path, monkeypatch, cfg, paths):
+    ref_dir = tmp_path / "no-reuse"
+    ref_dir.mkdir()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_run_job", _job_without_reuse)
+        ref = cmd_run(cfg, ref_dir)
+    for key in ("results", "weights", "comm"):
+        assert paths[key].read_bytes() == ref[key].read_bytes(), key
+
+
+def _counted_run(tmp_path, monkeypatch, cfg, targets):
+    """cmd_run with a call counter on each (module, name) in ``targets``."""
+    calls = Counter()
+    out = tmp_path / "reuse"
+    out.mkdir()
+    with monkeypatch.context() as m:
+        for owner, name in targets:
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            m.setattr(owner, name, counted)
+        paths = cmd_run(cfg, out)
+    return calls, paths
+
+
+def test_run_fits_each_distinct_weight_row_once(tmp_path, monkeypatch):
+    cfg = replace(TINY, preset="default", agents=8, samples_per_agent=4, grid=(0.5,),
+                  repetitions=1, d_rff=64, seed=1)
+    data, _, wrows, _ = cli._learn_job(cfg, 0, 0)
+    B, n_groups = len(wrows), len(set(data.groups))
+    assert np.array_equal(weights_matrix(wrows), np.eye(B))  # every Qagg row is e_t
+    assert n_groups == 2
+    # closed-form Qagg fits reach models.fit_weighted through fedsim.fit_model
+    calls, paths = _counted_run(tmp_path, monkeypatch, cfg,
+                                [(cli, "fit_weighted"), (fedsim, "fit_weighted"), (cli, "evaluate")])
+    # one Local model per target (shared with Qagg), one GrandMean, one Oracle per group
+    assert calls["fit_weighted"] == B + 1 + n_groups
+    # a target's Qagg and Local rows share a model and a test set
+    assert calls["evaluate"] == 3 * B
+    _assert_reuse_changes_no_byte(tmp_path, monkeypatch, cfg, paths)
+
+
+def test_fedavg_targets_sharing_a_row_are_each_charged(tmp_path, monkeypatch):
+    cfg = replace(TINY, optimizer="fedavg", model_kind="linear_gd", fedavg_rounds=3,
+                  grid=(0.5,), repetitions=1)
+    learn = cli.run_protocol_all
+
+    def forced_rows(pcfg, datasets):
+        # targets 0 and 1 share a row, and target 2's row is its Local row
+        rows, ledger = learn(pcfg, datasets)
+        assert rows[0].w.tobytes() != rows[1].w.tobytes()
+        return [rows[0], rows[0], SimplexWeights(np.eye(len(rows))[2]), *rows[3:]], ledger
+
+    monkeypatch.setattr(cli, "run_protocol_all", forced_rows)
+    data, _, wrows, _ = cli._learn_job(cfg, 0, 0)
+    B = len(wrows)
+    baseline_scores = {
+        (fedsim.baseline_weights(policy, data.datasets, t, data.groups).w.tobytes(), t)
+        for policy in cfg.baselines for t in range(B)
+    }
+    assert len(baseline_scores) < 3 * B  # a one-agent group's Oracle row is its Local row
+    calls, paths = _counted_run(tmp_path, monkeypatch, cfg,
+                                [(cli, "fit_weighted"), (fedsim, "fedavg"), (cli, "evaluate")])
+    assert calls["fedavg"] == B - 1
+    # a FedAvg model is never reused for a closed-form baseline row, not even Local row 2
+    assert calls["fit_weighted"] == len({row for row, _ in baseline_scores})
+    # targets 0 and 1 share a FedAvg model but not a test set
+    assert calls["evaluate"] == B + len(baseline_scores)
+    trips = [r for r in _read(paths["comm"])[1:] if r[3] == "model_round_trip"]
+    support = [int(np.count_nonzero(w.w)) for w in wrows]
+    assert len(trips) == cfg.fedavg_rounds * sum(support)  # target 1 is charged for its rounds too
+    _assert_reuse_changes_no_byte(tmp_path, monkeypatch, cfg, paths)
+
+
+def test_fedavg_run_bytes_do_not_depend_on_threads(tmp_path):
+    cfg = ExperimentConfig(
+        experiment="covariate_shift", repetitions=3, test_size=30, agents=6, samples_per_agent=8,
+        dim=3, group_sizes=(2, 2), kernel_kind="poly2", scope="features", optimizer="fedavg",
+        fedavg_rounds=4, fedavg_local_steps=2, fedavg_lr=0.01, model_kind="linear_gd",
+        model_lr=0.01, model_epochs=10, seed=5,
+    )
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(serialize_config(cfg))
+    argv = ["run", "--config", str(cfg_path)]
+    assert main(argv + ["--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
+    assert main(argv + ["--out", str(tmp_path / "t3"), "--threads", "3"]) == 0
+    for name in ("results.csv", "weights.csv", "comm.csv"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t3" / name).read_bytes(), name
+    assert any(r[3] == "model_round_trip" for r in _read(tmp_path / "t1" / "comm.csv")[1:])
