@@ -36,11 +36,13 @@ def main() -> None:
                 kernel=concept_shift_kernel(d), d_rff=200, seed=7,
                 qagg=qcfg, model=mspec,
             )
+            oracle = baseline_weights("oracle", datasets, groups=groups)
+            local = baseline_weights("local", datasets)
             for target in (0, 10, 20):
                 policies = {
                     "Qagg": run_protocol(cfg, datasets, target).weights,
-                    "Oracle": baseline_weights("oracle", datasets, target, groups=groups),
-                    "Local": baseline_weights("local", datasets, target),
+                    "Oracle": oracle[target],
+                    "Local": local[target],
                 }
                 for name, w in policies.items():
                     model = fit_weighted(mspec, w, datasets)

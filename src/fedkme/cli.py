@@ -446,8 +446,7 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
         model_spec = _resolve_model(cfg, data.datasets)
     for policy in cfg.baselines:
         name = _METHOD_NAMES[policy]
-        for t in range(len(data.datasets)):
-            w = baseline_weights(policy, data.datasets, t, data.groups)
+        for t, w in enumerate(baseline_weights(policy, data.datasets, data.groups)):
             key = (CLOSED_FORM, w.w.tobytes())
             if key not in models:
                 models[key] = fit_weighted(model_spec, w, data.datasets)

@@ -210,16 +210,11 @@ class CsvSchema:
             object.__setattr__(self, "feature_cols", tuple(self.feature_cols))
 
 
-def load_csv(path, schema: CsvSchema = CsvSchema()) -> list[AgentDataset]:
-    """One dataset per distinct agent id, in first-appearance order.
+def load_csv_agents(path, schema: CsvSchema = CsvSchema()) -> dict[str, AgentDataset]:
+    """One dataset per distinct agent id, keyed by that id in first-appearance order.
 
     Errors carry 1-based physical row numbers (the header is row 1).
     """
-    return list(load_csv_agents(path, schema).values())
-
-
-def load_csv_agents(path, schema: CsvSchema = CsvSchema()) -> dict[str, AgentDataset]:
-    """:func:`load_csv` keyed by agent id, in the same first-appearance order."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

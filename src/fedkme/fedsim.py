@@ -212,30 +212,29 @@ def run_protocol_all(cfg: ProtocolConfig, datasets: list[AgentDataset]) -> tuple
 
 
 def baseline_weights(
-    policy: str,
-    datasets: list[AgentDataset],
-    target: int,
-    groups: list[int] | None = None,
-) -> SimplexWeights:
-    """Reference weight policies: local, sample-proportional, group oracle."""
+    policy: str, datasets: list[AgentDataset], groups: list[int] | None = None,
+) -> list[SimplexWeights]:
+    """Every target's row of a reference weight policy: local, sample-proportional, group oracle.
+
+    The sample sizes are read once, and equal rows (GrandMean's, and Oracle's
+    within a group) are one shared object.
+    """
     B = len(datasets)
-    if not 0 <= target < B:
-        raise ValueError(f"target {target} out of range for {B} agents")
     sizes = np.array([ds.n for ds in datasets], dtype=float)
     if policy == LOCAL:
-        w = np.zeros(B)
-        w[target] = 1.0
-        return SimplexWeights(w)
+        return [SimplexWeights(row) for row in np.eye(B)]
     if policy == GRAND_MEAN:
-        return SimplexWeights(sizes / sizes.sum())
+        return [SimplexWeights(sizes / sizes.sum())] * B
     if policy == ORACLE:
         if groups is None:
             raise ValueError("oracle weights need a group assignment")
         if len(groups) != B:
             raise ValueError("one group id per agent is required")
-        mask = np.array([g == groups[target] for g in groups], dtype=float)
-        if mask.sum() == 0:
-            raise ValueError("target group is empty")
-        w = sizes * mask
-        return SimplexWeights(w / w.sum())
+        labels = np.asarray(groups)
+        rows = {}
+        for g in groups:
+            if g not in rows:
+                w = sizes * (labels == g)
+                rows[g] = SimplexWeights(w / w.sum())
+        return [rows[g] for g in groups]
     raise ValueError(f"unknown baseline policy {policy!r}")

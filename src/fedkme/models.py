@@ -7,8 +7,8 @@ The weighted objective over agents k with simplex weights w_k is
 with R_k the agent's mean loss (squared error, or softmax cross-entropy for
 classification).  For the squared loss R_k depends on the data only through
 the agent's second moments S_k = X_k' X_k / n_k and r_k = X_k' y_k / n_k,
-where X_k carries an appended intercept column when fit_intercept is set.
-Both are slices of the augmented moment the dataset computes once and caches
+where X_k always carries an appended intercept column.  Both are slices of
+the augmented moment the dataset computes once and caches
 (:meth:`AgentDataset.moments`), so repeated fits never re-read raw rows.  The
 ridge case solves the normal equations
 
@@ -49,7 +49,6 @@ class ModelSpec:
     lr: float = 0.1
     epochs: int = 100
     classes: int = 2
-    fit_intercept: bool = True
 
     def __post_init__(self):
         if self.kind not in (RIDGE, LINEAR_GD, LOGISTIC_GD):
@@ -81,29 +80,18 @@ class FittedModel:
         return scores
 
 
-def _design(dataset: AgentDataset, fit_intercept: bool) -> np.ndarray:
-    X = dataset.X
-    if fit_intercept:
-        return np.column_stack([X, np.ones(X.shape[0])])
-    return X
+def _design(dataset: AgentDataset) -> np.ndarray:
+    return np.column_stack([dataset.X, np.ones(dataset.n)])
 
 
 def _param_dim(spec: ModelSpec, d: int) -> tuple[int, ...]:
-    p = d + (1 if spec.fit_intercept else 0)
     if spec.kind == LOGISTIC_GD:
-        return (p, spec.classes)
-    return (p,)
+        return (d + 1, spec.classes)
+    return (d + 1,)
 
 
 def _unpack(theta: np.ndarray, spec: ModelSpec, d: int, status: str = "ok") -> FittedModel:
-    if spec.fit_intercept:
-        coef, intercept = theta[:d], theta[d]
-    else:
-        coef = theta
-        intercept = np.zeros(spec.classes) if spec.kind == LOGISTIC_GD else 0.0
-    if spec.kind != LOGISTIC_GD and not np.isscalar(intercept):
-        intercept = float(intercept)
-    return FittedModel(coefficients=coef, intercept=intercept, spec=spec, status=status)
+    return FittedModel(coefficients=theta[:d], intercept=theta[d], spec=spec, status=status)
 
 
 def weighted_objective(spec: ModelSpec, w: np.ndarray, datasets: list[AgentDataset], theta: np.ndarray) -> float:
@@ -117,7 +105,7 @@ def weighted_objective(spec: ModelSpec, w: np.ndarray, datasets: list[AgentDatas
 
 
 def _local_risk(spec: ModelSpec, ds: AgentDataset, theta: np.ndarray) -> float:
-    Xd = _design(ds, spec.fit_intercept)
+    Xd = _design(ds)
     if spec.kind == LOGISTIC_GD:
         logits = Xd @ theta
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -130,7 +118,7 @@ def _local_risk(spec: ModelSpec, ds: AgentDataset, theta: np.ndarray) -> float:
 
 def _local_gradient(spec: ModelSpec, ds: AgentDataset, theta: np.ndarray) -> np.ndarray:
     """Gradient of R_k alone (the lam term is added by the caller)."""
-    Xd = _design(ds, spec.fit_intercept)
+    Xd = _design(ds)
     if spec.kind == LOGISTIC_GD:
         logits = Xd @ theta
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -162,12 +150,11 @@ def _normalized(weights: SimplexWeights | np.ndarray) -> np.ndarray:
     return w / total
 
 
-def _moment_slices(w: np.ndarray, datasets: list[AgentDataset], fit_intercept: bool):
+def _moment_slices(w: np.ndarray, datasets: list[AgentDataset]):
     """Stacked S_k and r_k of the agents with positive weight, plus those weights."""
     active = np.flatnonzero(w > 0.0)
     M = np.stack([datasets[k].moments() for k in active])
-    p = datasets[0].dim + (1 if fit_intercept else 0)
-    return M[:, :p, :p], M[:, :p, -1], w[active]
+    return M[:, :-1, :-1], M[:, :-1, -1], w[active]
 
 
 # H is a weighted Gram matrix, so forming it rounds at about p * eps of its
@@ -197,7 +184,7 @@ def fit_weighted(spec: ModelSpec, weights: SimplexWeights, datasets: list[AgentD
             theta = theta - spec.lr * weighted_gradient(spec, w, datasets, theta)
         return _unpack(theta, spec, d)
 
-    S, r, w_active = _moment_slices(w, datasets, spec.fit_intercept)
+    S, r, w_active = _moment_slices(w, datasets)
     S_w = np.tensordot(w_active, S, axes=1)
     r_w = w_active @ r
     p = S_w.shape[0]
@@ -248,7 +235,7 @@ def fedavg(
             theta = aggregate
         return _unpack(theta, spec, d)
 
-    S, r, w_active = _moment_slices(w, datasets, spec.fit_intercept)
+    S, r, w_active = _moment_slices(w, datasets)
     share = w_active / part_total
     for _ in range(rounds):
         local = theta  # broadcast to one row per participant by the first step

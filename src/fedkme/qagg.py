@@ -31,7 +31,8 @@ Every target's program shares the Gram matrix G_{kl} = <nu_k, nu_l>, and
 A_t = G - G_t - G_t' + G_tt from it, target by target, so a target's weights
 are the same bits whether it is solved alone or with all the others.
 :func:`build_problem` and :func:`optimize` are the explicit one-target form
-and run the same solver.
+and run the same solver; only they take exact-kernel embeddings, the
+reference form that :func:`learn_weights` refuses.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ class QaggConfig:
 
     ``t`` caps the active-set steps of each solve; reaching it raises
     ``ArithmeticError``.  ``c`` has no effect on the exact solve; it is still
-    validated so that configs which set it keep working.
+    validated so that configs which set it keep working.  ``target_index`` is
+    read only by :func:`build_problem`, and so by the :func:`optimize` of its
+    problem; :func:`learn_weights` takes its targets from ``locals_``.
     """
 
     c_q: float
@@ -281,32 +284,23 @@ def optimize(problem: QaggProblem, cfg: QaggConfig) -> SimplexWeights:
 
 def _assemble(embs: list[Embedding], locals_: dict[int, LocalFeatureSet], cfg: QaggConfig):
     """The shared Gram matrix G and one row of b per target, in the order of ``locals_``."""
-    B = len(embs)
-    exact = embs[0].kind == EXACT
-    if exact:
-        G = np.array([[kme_inner(ek, el) for el in embs] for ek in embs])
-    else:
-        V = np.stack([as_feature_vector(e) for e in embs])
-        # A_t sees only differences; dropping the common offset avoids
-        # cancellation on large poly2 lifts and keeps identical agents at exactly 0
-        V = V - V[0]
-        G = V @ V.T
+    V = np.stack([as_feature_vector(e) for e in embs])
+    # A_t sees only differences; dropping the common offset avoids
+    # cancellation on large poly2 lifts and keeps identical agents at exactly 0
+    V = V - V[0]
+    G = V @ V.T
     G = (G + G.T) / 2.0
 
-    b = np.empty((len(locals_), B))
+    b = np.empty((len(locals_), len(embs)))
     for r, (t, local) in enumerate(locals_.items()):
         n = local.n
-        if exact:
-            q = np.array([0.0 if k == t else q_stat(local, e, embs[t]) for k, e in enumerate(embs)])
-            dist = np.sqrt(np.maximum(np.diag(G) - 2.0 * G[t] + G[t, t], 0.0))
-        else:
-            # from the differences, not G_kk - 2 G_kt + G_tt: a duplicate of the
-            # target must sit at distance 0, not at the root of a rounding residue
-            diffs = V - V[t]
-            dist = np.sqrt((diffs * diffs).sum(axis=1))
-            proj = local.features @ diffs.T
-            proj -= proj.mean(axis=0)
-            q = (proj * proj).sum(axis=0) / (n - 1)
+        # from the differences, not G_kk - 2 G_kt + G_tt: a duplicate of the
+        # target must sit at distance 0, not at the root of a rounding residue
+        diffs = V - V[t]
+        dist = np.sqrt((diffs * diffs).sum(axis=1))
+        proj = local.features @ diffs.T
+        proj -= proj.mean(axis=0)
+        q = (proj * proj).sum(axis=0) / (n - 1)
         b[r] = cfg.c_q * np.sqrt(q) / math.sqrt(n) + cfg.c_p * cfg.m * dist / n
         b[r, t] = 2.0 * trace_cov_hat(local) / n
     return G, b
@@ -322,9 +316,8 @@ def learn_weights(
     is assembled once and each target's program is formed from it and solved
     on its own, so a row does not depend on which other targets are asked for:
     asking for one target gives bit for bit the row that asking for all of
-    them gives.  With RFF or
-    poly2 embeddings no agent's raw data is read here; exact embeddings carry
-    their sample and are read through it.
+    them gives.  Embeddings must be RFF or poly2 (exact ones raise
+    ``ValueError``), so no agent's raw data is read here.
     """
     B = len(embs)
     if B < 1:

@@ -253,6 +253,8 @@ def test_A7_concept_shift_tracks_oracle_then_local_with_crossover():
             datasets, _, groups = gen_concept_shift(spec)
             tests = concept_shift_test_sets(spec, 400)
             cfg = ProtocolConfig(kernel=kern, d_rff=D, seed=7, qagg=qcfg, model=mspec)
+            oracle = baseline_weights("oracle", datasets, groups=groups)
+            local = baseline_weights("local", datasets)
             for t in targets:
                 learned = run_protocol(cfg, datasets, t).weights
 
@@ -261,8 +263,8 @@ def test_A7_concept_shift_tracks_oracle_then_local_with_crossover():
                     return evaluate(model, tests[t], metric="mse")
 
                 acc["q"].append(mse(learned))
-                acc["o"].append(mse(baseline_weights("oracle", datasets, t, groups=groups)))
-                acc["l"].append(mse(baseline_weights("local", datasets, t)))
+                acc["o"].append(mse(oracle[t]))
+                acc["l"].append(mse(local[t]))
         curve[sc2] = tuple(float(np.mean(acc[m])) for m in ("q", "o", "l"))
 
     table = "\n".join(

@@ -459,8 +459,7 @@ def _job_without_reuse(cfg, gi, rep, with_qagg):
         model = fedsim.fit_model(pcfg, w, data.datasets, ledger)
         rows.append(("Qagg", data.params[t], rep, t, models.evaluate(model, data.tests[t], models.MSE)))
     for policy in cfg.baselines:
-        for t in range(len(data.datasets)):
-            w = fedsim.baseline_weights(policy, data.datasets, t, data.groups)
+        for t, w in enumerate(fedsim.baseline_weights(policy, data.datasets, data.groups)):
             model = models.fit_weighted(pcfg.model, w, data.datasets)
             value = models.evaluate(model, data.tests[t], models.MSE)
             rows.append((cli._METHOD_NAMES[policy], data.params[t], rep, t, value))
@@ -503,10 +502,13 @@ def test_run_fits_each_distinct_weight_row_once(tmp_path, monkeypatch):
     assert np.array_equal(weights_matrix(wrows), np.eye(B))  # every Qagg row is e_t
     assert n_groups == 2
     # closed-form Qagg fits reach models.fit_weighted through fedsim.fit_model
-    calls, paths = _counted_run(tmp_path, monkeypatch, cfg,
-                                [(cli, "fit_weighted"), (fedsim, "fit_weighted"), (cli, "evaluate")])
+    calls, paths = _counted_run(tmp_path, monkeypatch, cfg, [
+        (cli, "fit_weighted"), (fedsim, "fit_weighted"), (cli, "evaluate"), (cli, "baseline_weights"),
+    ])
     # one Local model per target (shared with Qagg), one GrandMean, one Oracle per group
     assert calls["fit_weighted"] == B + 1 + n_groups
+    # every target's baseline rows come from one call per policy
+    assert calls["baseline_weights"] == len(cfg.baselines)
     # a target's Qagg and Local rows share a model and a test set
     assert calls["evaluate"] == 3 * B
     _assert_reuse_changes_no_byte(tmp_path, monkeypatch, cfg, paths)
@@ -527,8 +529,9 @@ def test_fedavg_targets_sharing_a_row_are_each_charged(tmp_path, monkeypatch):
     data, _, wrows, _ = cli._learn_job(cfg, 0, 0)
     B = len(wrows)
     baseline_scores = {
-        (fedsim.baseline_weights(policy, data.datasets, t, data.groups).w.tobytes(), t)
-        for policy in cfg.baselines for t in range(B)
+        (w.w.tobytes(), t)
+        for policy in cfg.baselines
+        for t, w in enumerate(fedsim.baseline_weights(policy, data.datasets, data.groups))
     }
     assert len(baseline_scores) < 3 * B  # a one-agent group's Oracle row is its Local row
     calls, paths = _counted_run(tmp_path, monkeypatch, cfg,

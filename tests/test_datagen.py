@@ -12,7 +12,7 @@ from fedkme.datagen import (
     covariate_shift_test_sets,
     gen_concept_shift,
     gen_covariate_shift,
-    load_csv,
+    load_csv_agents,
     write_csv,
 )
 from fedkme.rng import stream
@@ -191,9 +191,9 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     datasets, _, _ = gen_concept_shift(spec)
     path = tmp_path / "train.csv"
     write_csv(datasets, path)
-    back = load_csv(path)
-    assert len(back) == 4
-    for ds, rt in zip(datasets, back):
+    back = load_csv_agents(path)
+    assert list(back) == ["0", "1", "2", "3"]
+    for ds, rt in zip(datasets, back.values()):
         np.testing.assert_array_equal(ds.X, rt.X)
         np.testing.assert_array_equal(ds.y, rt.y)
 
@@ -211,21 +211,22 @@ def test_write_csv_header(tmp_path):
 def test_load_csv_single_agent(tmp_path):
     path = tmp_path / "two.csv"
     path.write_text("agent_id,x_1,y\n0,1.5,2.0\n0,-1.0,0.5\n")
-    sets = load_csv(path)
-    assert len(sets) == 1 and sets[0].n == 2
-    np.testing.assert_array_equal(sets[0].X, [[1.5], [-1.0]])
-    np.testing.assert_array_equal(sets[0].y, [2.0, 0.5])
+    sets = load_csv_agents(path)
+    assert list(sets) == ["0"] and sets["0"].n == 2
+    np.testing.assert_array_equal(sets["0"].X, [[1.5], [-1.0]])
+    np.testing.assert_array_equal(sets["0"].y, [2.0, 0.5])
 
 
 def test_load_csv_interleaved_agents(tmp_path):
     path = tmp_path / "mix.csv"
     path.write_text("agent_id,x_1,y\na,1,10\nb,2,20\na,3,30\nb,4,40\n")
-    sets = load_csv(path)
-    assert [s.n for s in sets] == [2, 2]
-    np.testing.assert_array_equal(sets[0].X[:, 0], [1.0, 3.0])
-    np.testing.assert_array_equal(sets[1].X[:, 0], [2.0, 4.0])
+    sets = load_csv_agents(path)
+    assert list(sets) == ["a", "b"]
+    assert [s.n for s in sets.values()] == [2, 2]
+    np.testing.assert_array_equal(sets["a"].X[:, 0], [1.0, 3.0])
+    np.testing.assert_array_equal(sets["b"].X[:, 0], [2.0, 4.0])
     rows = sorted(
-        (float(x[0]), float(y)) for s in sets for x, y in zip(s.X, s.y)
+        (float(x[0]), float(y)) for s in sets.values() for x, y in zip(s.X, s.y)
     )
     assert rows == [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
 
@@ -235,45 +236,45 @@ def test_load_csv_malformed_cell_names_row(tmp_path):
     lines = ["agent_id,x_1,y"] + [f"0,{i},{i}" for i in range(5)] + ["0,oops,9"]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="row 7"):
-        load_csv(path)
+        load_csv_agents(path)
 
 
 def test_load_csv_missing_column(tmp_path):
     path = tmp_path / "nolabel.csv"
     path.write_text("agent_id,x_1\n0,1.0\n")
     with pytest.raises(ValueError, match="missing column 'y'"):
-        load_csv(path)
+        load_csv_agents(path)
 
 
 def test_load_csv_unlabeled_schema(tmp_path):
     path = tmp_path / "nolabel.csv"
     path.write_text("agent_id,x_1,x_2\n0,1.0,2.0\n")
-    sets = load_csv(path, CsvSchema(label_col=None))
-    assert sets[0].y is None
-    assert sets[0].X.shape == (1, 2)
+    sets = load_csv_agents(path, CsvSchema(label_col=None))
+    assert sets["0"].y is None
+    assert sets["0"].X.shape == (1, 2)
 
 
 def test_load_csv_empty_and_header_only(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
-        load_csv(empty)
+        load_csv_agents(empty)
     header_only = tmp_path / "hdr.csv"
     header_only.write_text("agent_id,x_1,y\n")
     with pytest.raises(ValueError, match="no data rows"):
-        load_csv(header_only)
+        load_csv_agents(header_only)
 
 
 def test_load_csv_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("agent_id,x_1,y\n0,1.0,2.0\n0,1.0\n")
     with pytest.raises(ValueError, match="row 3"):
-        load_csv(path)
+        load_csv_agents(path)
 
 
 def test_load_csv_explicit_feature_columns(tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text("agent_id,a,b,ignored,y\n0,1,2,99,5\n")
-    sets = load_csv(path, CsvSchema(feature_cols=("a", "b")))
-    np.testing.assert_array_equal(sets[0].X, [[1.0, 2.0]])
-    np.testing.assert_array_equal(sets[0].y, [5.0])
+    sets = load_csv_agents(path, CsvSchema(feature_cols=("a", "b")))
+    np.testing.assert_array_equal(sets["0"].X, [[1.0, 2.0]])
+    np.testing.assert_array_equal(sets["0"].y, [5.0])

@@ -302,8 +302,8 @@ def test_closed_form_path_has_no_model_traffic():
 
 def test_baseline_local():
     datasets = _agents(14, B=3)
-    w = baseline_weights(LOCAL, datasets, target=1)
-    np.testing.assert_array_equal(w.w, [0.0, 1.0, 0.0])
+    rows = baseline_weights(LOCAL, datasets)
+    np.testing.assert_array_equal(np.stack([w.w for w in rows]), np.eye(3))
 
 
 def test_baseline_grand_mean():
@@ -311,26 +311,27 @@ def test_baseline_grand_mean():
         AgentDataset(np.zeros((10, 2)), np.zeros(10)),
         AgentDataset(np.zeros((30, 2)), np.zeros(30)),
     ]
-    w = baseline_weights(GRAND_MEAN, datasets, target=0)
-    np.testing.assert_allclose(w.w, [0.25, 0.75])
+    rows = baseline_weights(GRAND_MEAN, datasets)
+    np.testing.assert_allclose(np.stack([w.w for w in rows]), [[0.25, 0.75], [0.25, 0.75]])
 
 
 def test_baseline_oracle():
-    datasets = [AgentDataset(np.zeros((5, 2)), np.zeros(5)) for _ in range(3)]
-    w = baseline_weights(ORACLE, datasets, target=0, groups=[0, 0, 1])
-    np.testing.assert_allclose(w.w, [0.5, 0.5, 0.0])
+    datasets = [AgentDataset(np.zeros((n, 2)), np.zeros(n)) for n in (5, 5, 4, 12)]
+    rows = baseline_weights(ORACLE, datasets, groups=[0, 0, 1, 1])
+    np.testing.assert_allclose(
+        np.stack([w.w for w in rows]),
+        [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.25, 0.75], [0.0, 0.0, 0.25, 0.75]],
+    )
 
 
 def test_baseline_errors():
     datasets = _agents(15, B=2)
     with pytest.raises(ValueError):
-        baseline_weights(ORACLE, datasets, target=0)
+        baseline_weights(ORACLE, datasets)
     with pytest.raises(ValueError):
-        baseline_weights(ORACLE, datasets, target=0, groups=[0])
+        baseline_weights(ORACLE, datasets, groups=[0])
     with pytest.raises(ValueError):
-        baseline_weights("median", datasets, target=0)
-    with pytest.raises(ValueError):
-        baseline_weights(LOCAL, datasets, target=5)
+        baseline_weights("median", datasets)
 
 
 def test_each_agent_is_featurized_once(monkeypatch):

@@ -1,6 +1,5 @@
 """Weighted ERM solvers: closed form vs gradient descent vs FedAvg."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,24 +149,24 @@ def test_singular_when_fewer_samples_than_parameters():
     w = np.array([0.3, 0.7])
     model = fit_weighted(ModelSpec(kind=RIDGE, lam=0.0), SimplexWeights(w), datasets)
     assert model.status == "singular-min-norm"
-    H, r = _row_normal_equations(w, datasets, 0.0, fit_intercept=True)
+    H, r = _row_normal_equations(w, datasets, 0.0)
     expected = np.linalg.pinv(H, rcond=1e-10) @ r
     np.testing.assert_allclose(_theta(model), expected, rtol=1e-9, atol=1e-12)
 
 
-def _row_normal_equations(w, datasets, lam, fit_intercept):
-    p = datasets[0].dim + int(fit_intercept)
+def _row_normal_equations(w, datasets, lam):
+    p = datasets[0].dim + 1
     H = lam * np.eye(p)
     r = np.zeros(p)
     for wk, ds in zip(w, datasets):
-        Xd = np.hstack([ds.X, np.ones((ds.n, 1))]) if fit_intercept else ds.X
+        Xd = np.hstack([ds.X, np.ones((ds.n, 1))])
         H += (wk / ds.n) * (Xd.T @ Xd)
         r += (wk / ds.n) * (Xd.T @ ds.y)
     return H, r
 
 
 def _zero_params(spec, datasets):
-    p = datasets[0].dim + int(spec.fit_intercept)
+    p = datasets[0].dim + 1
     return np.zeros((p, spec.classes) if spec.kind == LOGISTIC_GD else p)
 
 
@@ -199,28 +198,24 @@ def _relative_error(got, want):
 
 def test_moment_fits_match_row_based_references():
     # agents of different sizes, one with zero weight, lam > 0; the same
-    # dataset objects serve fits with and without the intercept column
+    # dataset objects serve every fit
     g = np.random.default_rng(24)
     datasets = []
     for n in (7, 19, 11, 4):
         X = g.normal(loc=0.5, size=(n, 3))
         datasets.append(AgentDataset(X, X @ g.normal(size=3) + 1.5 + 0.2 * g.normal(size=n)))
     w = np.array([0.45, 0.0, 0.35, 0.2])
-    for fit_intercept in (True, False, True):
-        def params(model):
-            return _theta(model) if fit_intercept else model.coefficients
+    ridge = ModelSpec(kind=RIDGE, lam=0.3)
+    H, r = _row_normal_equations(w, datasets, ridge.lam)
+    got = _theta(fit_weighted(ridge, SimplexWeights(w), datasets))
+    assert _relative_error(got, np.linalg.solve(H, r)) <= 1e-10
 
-        ridge = ModelSpec(kind=RIDGE, lam=0.3, fit_intercept=fit_intercept)
-        H, r = _row_normal_equations(w, datasets, ridge.lam, fit_intercept)
-        got = params(fit_weighted(ridge, SimplexWeights(w), datasets))
-        assert _relative_error(got, np.linalg.solve(H, r)) <= 1e-10
+    gd = ModelSpec(kind=LINEAR_GD, lam=0.3, lr=0.05, epochs=60)
+    got = _theta(fit_weighted(gd, SimplexWeights(w), datasets))
+    assert _relative_error(got, _row_gd(gd, w, datasets)) <= 1e-10
 
-        gd = ModelSpec(kind=LINEAR_GD, lam=0.3, lr=0.05, epochs=60, fit_intercept=fit_intercept)
-        got = params(fit_weighted(gd, SimplexWeights(w), datasets))
-        assert _relative_error(got, _row_gd(gd, w, datasets)) <= 1e-10
-
-        fed = fedavg(gd, SimplexWeights(w), datasets, rounds=15, local_steps=4, lr=0.04)
-        assert _relative_error(params(fed), _row_fedavg(gd, w, datasets, 15, 4, 0.04)) <= 1e-10
+    fed = fedavg(gd, SimplexWeights(w), datasets, rounds=15, local_steps=4, lr=0.04)
+    assert _relative_error(_theta(fed), _row_fedavg(gd, w, datasets, 15, 4, 0.04)) <= 1e-10
 
 
 def test_second_fit_reads_no_raw_rows():
@@ -231,7 +226,7 @@ def test_second_fit_reads_no_raw_rows():
         fit_weighted(specs[0], w, datasets)
     assert sorted(map(id, set(first))) == sorted(map(id, datasets))
     with audit_raw_access() as later:
-        for spec in specs + [replace(s, fit_intercept=False) for s in specs]:
+        for spec in specs:
             fit_weighted(spec, w, datasets)
             fedavg(spec, w, datasets, rounds=3, local_steps=2, lr=0.05)
     assert later == []

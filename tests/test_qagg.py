@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedkme.data import AgentDataset
+from fedkme.data import AgentDataset, audit_raw_access
 from fedkme.embedding import EXACT, POLY2, embed, local_features
 from fedkme.kernels import isotropic_gaussian_kernel
 from fedkme.qagg import (
@@ -333,16 +333,13 @@ def _reference_row(embs, local, cfg, t):
     return optimize(build_problem(embs, local, cfg_t), cfg_t).w
 
 
-@pytest.mark.parametrize("kind", ["rff", POLY2, EXACT])
+@pytest.mark.parametrize("kind", ["rff", POLY2])
 def test_learn_weights_rows_match_per_target_reference(kind):
     g = np.random.default_rng(12)
     datasets = [AgentDataset(g.normal(loc=g.normal(), size=(n, 2))) for n in (3, 7, 4, 9, 2, 6)]
-    if kind == "rff":
-        mode, kernel = sample_rff(KERNEL2, 24, seed=4), None
-    else:
-        mode, kernel = kind, (KERNEL2 if kind == EXACT else None)
-    embs = [embed(ds, mode, kernel=kernel) for ds in datasets]
-    locals_ = {t: local_features(datasets[t], mode, kernel=kernel) for t in (3, 0, 5)}
+    mode = sample_rff(KERNEL2, 24, seed=4) if kind == "rff" else kind
+    embs = [embed(ds, mode) for ds in datasets]
+    locals_ = {t: local_features(datasets[t], mode) for t in (3, 0, 5)}
     cfg = ones_config()
     rows = learn_weights(embs, locals_, cfg)
     assert len(rows) == 3
@@ -393,6 +390,18 @@ def test_learn_weights_degenerate_rows_in_one_batch():
     flat_row, varied_row = learn_weights(embs, {1: flat, 3: varied}, ones_config())
     np.testing.assert_array_equal(flat_row.w, np.full(B, 1.0 / B))
     assert varied_row.w[3] < 1.0 / B
+
+
+def test_learn_weights_rejects_exact_embeddings():
+    # exact embeddings are build_problem's reference form; the batched learner
+    # refuses them before it reads any agent's sample
+    g = np.random.default_rng(15)
+    datasets = [AgentDataset(g.normal(size=(4, 2))) for _ in range(3)]
+    embs = [embed(ds, EXACT, kernel=KERNEL2) for ds in datasets]
+    locals_ = {0: local_features(datasets[0], EXACT, kernel=KERNEL2)}
+    with audit_raw_access() as log, pytest.raises(ValueError, match="exact embeddings"):
+        learn_weights(embs, locals_, ones_config())
+    assert log == []
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0 at the target entry
