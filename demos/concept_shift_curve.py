@@ -36,16 +36,17 @@ def main() -> None:
                 kernel=concept_shift_kernel(d), d_rff=200, seed=7,
                 qagg=qcfg, model=mspec,
             )
+            targets = (0, 10, 20)
             oracle = baseline_weights("oracle", datasets, groups=groups)
             local = baseline_weights("local", datasets)
-            for target in (0, 10, 20):
-                policies = {
-                    "Qagg": run_protocol(cfg, datasets, target).weights,
-                    "Oracle": oracle[target],
-                    "Local": local[target],
-                }
-                for name, w in policies.items():
-                    model = fit_weighted(mspec, w, datasets)
+            policies = {
+                "Qagg": [run_protocol(cfg, datasets, t).weights for t in targets],
+                "Oracle": [oracle[t] for t in targets],
+                "Local": [local[t] for t in targets],
+            }
+            for name, rows in policies.items():
+                # one call fits every target's row of the policy
+                for target, model in zip(targets, fit_weighted(mspec, rows, datasets)):
                     mse[name].append(evaluate(model, tests[target], metric="mse"))
         print(
             f"{sc2:8.2f} {np.mean(mse['Qagg']):6.2f}"

@@ -419,38 +419,53 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
     Weight rows repeat within a job (a vertex Qagg row is that target's Local
     row, every GrandMean row is the same), so each distinct (fit path, weight
     row) is fitted once and each distinct (model, target) is evaluated once.
-    Fitting and evaluation are deterministic, so reuse changes no output byte.
+    The job collects every row first and fits each path's distinct rows in
+    one call; then it charges FedAvg per Qagg target, in target order, and
+    scores.  Fitting and evaluation are deterministic, and a row's model
+    does not depend on the other rows of its call, so reuse changes no
+    output byte.
     """
     metric = ACCURACY if cfg.model_kind == LOGISTIC_GD else MSE
-    rows: list[tuple] = []
-    models: dict[tuple[str, bytes], FittedModel] = {}
-    values: dict[tuple[tuple[str, bytes], int], float] = {}
-
-    def score(key: tuple[str, bytes], t: int) -> float:
-        if (key, t) not in values:
-            values[key, t] = evaluate(models[key], data.tests[t], metric)
-        return values[key, t]
-
     if with_qagg:
         data, pcfg, wrows, ledger = _learn_job(cfg, gi, rep)
         model_spec = pcfg.model
-        for t, w in enumerate(wrows):
-            key = (pcfg.optimizer_path, w.w.tobytes())
-            if key in models:
-                charge_fedavg(pcfg, w, models[key], ledger)
-            else:
-                models[key] = fit_model(pcfg, w, data.datasets, ledger)
-            rows.append((_QAGG_METHOD, data.params[t], rep, t, score(key, t)))
     else:
         data, wrows, ledger = _build_data(cfg, gi, rep), None, None
         model_spec = _resolve_model(cfg, data.datasets)
+
+    # (method, target, fit key) of every results.csv row, and each path's distinct rows
+    entries: list[tuple[str, int, tuple[str, bytes]]] = []
+    distinct: dict[str, dict[bytes, SimplexWeights]] = {CLOSED_FORM: {}, FEDAVG: {}}
+
+    def collect(method: str, path: str, rows: list[SimplexWeights]) -> None:
+        for t, w in enumerate(rows):
+            key = (path, w.w.tobytes())
+            distinct[path].setdefault(key[1], w)
+            entries.append((method, t, key))
+
+    if with_qagg:
+        collect(_QAGG_METHOD, pcfg.optimizer_path, wrows)
     for policy in cfg.baselines:
-        name = _METHOD_NAMES[policy]
-        for t, w in enumerate(baseline_weights(policy, data.datasets, data.groups)):
-            key = (CLOSED_FORM, w.w.tobytes())
-            if key not in models:
-                models[key] = fit_weighted(model_spec, w, data.datasets)
-            rows.append((name, data.params[t], rep, t, score(key, t)))
+        collect(_METHOD_NAMES[policy], CLOSED_FORM, baseline_weights(policy, data.datasets, data.groups))
+
+    models: dict[tuple[str, bytes], FittedModel] = {}
+    for path, rows in distinct.items():
+        if not rows:
+            continue
+        if path == FEDAVG:
+            fitted = fit_model(pcfg, list(rows.values()), data.datasets)
+        else:
+            fitted = fit_weighted(model_spec, list(rows.values()), data.datasets)
+        models.update(zip(((path, row) for row in rows), fitted))
+
+    if with_qagg:
+        for w in wrows:
+            charge_fedavg(pcfg, w, models[pcfg.optimizer_path, w.w.tobytes()], ledger)
+    values: dict[tuple[tuple[str, bytes], int], float] = {}
+    for method, t, key in entries:
+        if (key, t) not in values:
+            values[key, t] = evaluate(models[key], data.tests[t], metric)
+    rows = [(method, data.params[t], rep, t, values[key, t]) for method, t, key in entries]
     return _JobResult(rows, wrows, ledger, None)
 
 

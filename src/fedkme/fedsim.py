@@ -9,7 +9,8 @@ weighted risk is minimized (closed form or FedAvg).
 
 :func:`run_protocol_all` runs steps 1-5 with every agent as a target;
 :func:`run_protocol` is its one-target slice followed by :func:`fit_model`,
-the one closed-form/FedAvg dispatch.
+the one closed-form/FedAvg dispatch, which fits any number of weight rows in
+one call, and :func:`charge_fedavg`, which charges one target's FedAvg rounds.
 
 There are no sockets; the ledger is the communication model.  Coefficients
 are "transmitted" by regenerating them from the shared seed, but the ledger
@@ -22,6 +23,7 @@ matrix at all, the target's included.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -172,17 +174,19 @@ def _learn(
 
 
 def fit_model(
-    cfg: ProtocolConfig, weights: SimplexWeights, datasets: list[AgentDataset], ledger: CommLedger,
-) -> FittedModel:
-    """Step 6: minimize the weighted risk in closed form, or by FedAvg with its rounds charged to ``ledger``."""
+    cfg: ProtocolConfig, weights: Sequence[SimplexWeights], datasets: list[AgentDataset],
+) -> list[FittedModel]:
+    """Step 6 for each weight row, in one call: the weighted risk minimized in closed form or by FedAvg.
+
+    One model per row, in order.  FedAvg rounds are charged by
+    :func:`charge_fedavg`, once per target, not here.
+    """
     if cfg.optimizer_path != FEDAVG:
         return fit_weighted(cfg.model, weights, datasets)
-    model = fedavg(
+    return fedavg(
         cfg.model, weights, datasets,
         rounds=cfg.fedavg_rounds, local_steps=cfg.fedavg_local_steps, lr=cfg.fedavg_lr,
     )
-    charge_fedavg(cfg, weights, model, ledger)
-    return model
 
 
 def charge_fedavg(cfg: ProtocolConfig, weights: SimplexWeights, model: FittedModel, ledger: CommLedger) -> None:
@@ -203,7 +207,9 @@ def charge_fedavg(cfg: ProtocolConfig, weights: SimplexWeights, model: FittedMod
 def run_protocol(cfg: ProtocolConfig, datasets: list[AgentDataset], target: int) -> ProtocolResult:
     """The six protocol steps for one target: the one-target slice of :func:`run_protocol_all`, then the fit."""
     (weights,), ledger = _learn(cfg, datasets, [target])
-    return ProtocolResult(weights=weights, model=fit_model(cfg, weights, datasets, ledger), ledger=ledger)
+    (model,) = fit_model(cfg, [weights], datasets)
+    charge_fedavg(cfg, weights, model, ledger)
+    return ProtocolResult(weights=weights, model=model, ledger=ledger)
 
 
 def run_protocol_all(cfg: ProtocolConfig, datasets: list[AgentDataset]) -> tuple[list[SimplexWeights], CommLedger]:

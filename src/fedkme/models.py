@@ -21,10 +21,19 @@ row using only its own S_k and r_k, and the server takes the participants'
 weighted sum of the local models; it reduces exactly to centralized gradient
 descent when local_steps=1 and all weights are active.  Cross-entropy has no
 finite sufficient statistic, so the classifier keeps its row-based gradient.
+
+Every fit takes a sequence of weight rows and returns one model per row, in
+order.  The agents' moments are stacked once per call, and the squared-loss
+iterations step all rows together: each gradient-descent epoch is one batched
+mat-vec over the rows' weighted moments, and each FedAvg local step is one
+over the rows' participants, for rows with the same number of participants.
+Every slice of a batched product is the bits of its one-row product, so a
+row's model does not depend on which other rows share its call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +151,8 @@ def weighted_gradient(spec: ModelSpec, w: np.ndarray, datasets: list[AgentDatase
 def _normalized(weights: SimplexWeights | np.ndarray) -> np.ndarray:
     # weights are consumed post-normalization, so rescaling is a no-op
     w = np.asarray(getattr(weights, "w", weights), dtype=float)
+    if w.ndim != 1:
+        raise ValueError("each weight row must be a vector")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     total = float(w.sum())
@@ -150,100 +161,152 @@ def _normalized(weights: SimplexWeights | np.ndarray) -> np.ndarray:
     return w / total
 
 
-def _moment_slices(w: np.ndarray, datasets: list[AgentDataset]):
-    """Stacked S_k and r_k of the agents with positive weight, plus those weights."""
-    active = np.flatnonzero(w > 0.0)
-    M = np.stack([datasets[k].moments() for k in active])
-    return M[:, :-1, :-1], M[:, :-1, -1], w[active]
+def _weight_rows(weights: Sequence[SimplexWeights | np.ndarray], datasets: list[AgentDataset]) -> list[np.ndarray]:
+    """Each row normalized, after checking it and the datasets against each other."""
+    rows = [_normalized(w) for w in weights]
+    if any(w.shape[0] != len(datasets) for w in rows):
+        raise ValueError("one weight per dataset is required")
+    d = datasets[0].dim
+    for ds in datasets:
+        if ds.dim != d:
+            raise ValueError("datasets must share one feature dimension")
+    return rows
+
+
+def _moment_stack(rows: list[np.ndarray], datasets: list[AgentDataset]) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented moments of every agent some row weights, stacked once, and each agent's index into them."""
+    used = np.flatnonzero(np.any(np.stack(rows) > 0.0, axis=0))
+    at = np.zeros(len(datasets), dtype=int)
+    at[used] = np.arange(used.size)
+    return np.stack([datasets[k].moments() for k in used]), at
+
+
+def _weighted_moments(rows: list[np.ndarray], stack: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's S_w = sum_k w_k S_k and r_w = sum_k w_k r_k over its agents with positive weight."""
+    p = stack.shape[-1] - 1
+    S_w, r_w = np.empty((len(rows), p, p)), np.empty((len(rows), p))
+    for i, w in enumerate(rows):
+        active = np.flatnonzero(w > 0.0)
+        M = stack[at[active]]
+        S_w[i] = np.tensordot(w[active], M[:, :-1, :-1], axes=1)
+        r_w[i] = w[active] @ M[:, :-1, -1]
+    return S_w, r_w
 
 
 # H is a weighted Gram matrix, so forming it rounds at about p * eps of its
 # norm; singular values below this share of the largest are that rounding
 _RANK_RTOL = 1e-12
 
+# FedAvg stacks the participants' moments of a chunk of rows, rows x m x
+# (p+1)^2 floats for m participants; a chunk holds as many rows as fit in
+# this many bytes, and at least one
+_FEDAVG_CHUNK_BYTES = 1 << 22
 
-def fit_weighted(spec: ModelSpec, weights: SimplexWeights, datasets: list[AgentDataset]) -> FittedModel:
-    """Minimize the weighted empirical risk.
+
+def fit_weighted(
+    spec: ModelSpec, weights: Sequence[SimplexWeights | np.ndarray], datasets: list[AgentDataset],
+) -> list[FittedModel]:
+    """Minimize the weighted empirical risk of each weight row; one model per row, in order.
 
     Ridge solves its normal equations exactly; when the system is singular
     (numerical rank below p, e.g. lam=0 with fewer samples than parameters)
     it returns the minimum-norm solution with status "singular-min-norm".
-    GD variants run full-batch gradient descent.
+    GD variants run full-batch gradient descent, every squared-loss row in
+    one epoch loop.
     """
-    w = _normalized(weights)
-    if len(datasets) != w.shape[0]:
-        raise ValueError("one weight per dataset is required")
+    rows = _weight_rows(weights, datasets)
     d = datasets[0].dim
-    for ds in datasets:
-        if ds.dim != d:
-            raise ValueError("datasets must share one feature dimension")
-
     if spec.kind == LOGISTIC_GD:
-        theta = np.zeros(_param_dim(spec, d))
-        for _ in range(spec.epochs):
-            theta = theta - spec.lr * weighted_gradient(spec, w, datasets, theta)
-        return _unpack(theta, spec, d)
+        models = []
+        for w in rows:
+            theta = np.zeros(_param_dim(spec, d))
+            for _ in range(spec.epochs):
+                theta = theta - spec.lr * weighted_gradient(spec, w, datasets, theta)
+            models.append(_unpack(theta, spec, d))
+        return models
+    if not rows:
+        return []
 
-    S, r, w_active = _moment_slices(w, datasets)
-    S_w = np.tensordot(w_active, S, axes=1)
-    r_w = w_active @ r
-    p = S_w.shape[0]
+    S_w, r_w = _weighted_moments(rows, *_moment_stack(rows, datasets))
+    p = S_w.shape[-1]
     if spec.kind == RIDGE:
-        H = S_w + spec.lam * np.eye(p)
-        theta, _, rank, _ = np.linalg.lstsq(H, r_w, rcond=_RANK_RTOL)
-        return _unpack(theta, spec, d, "ok" if rank == p else "singular-min-norm")
+        models = []
+        for S, r in zip(S_w, r_w):
+            theta, _, rank, _ = np.linalg.lstsq(S + spec.lam * np.eye(p), r, rcond=_RANK_RTOL)
+            models.append(_unpack(theta, spec, d, "ok" if rank == p else "singular-min-norm"))
+        return models
 
-    theta = np.zeros(p)
+    theta = np.zeros((len(rows), p))
     for _ in range(spec.epochs):
-        theta = theta - spec.lr * (2.0 * spec.lam * theta + 2.0 * (S_w @ theta - r_w))
-    return _unpack(theta, spec, d)
+        theta = theta - spec.lr * (2.0 * spec.lam * theta + 2.0 * ((S_w @ theta[..., None])[..., 0] - r_w))
+    return [_unpack(row, spec, d) for row in theta]
 
 
 def fedavg(
     spec: ModelSpec,
-    weights: SimplexWeights,
+    weights: Sequence[SimplexWeights | np.ndarray],
     datasets: list[AgentDataset],
     rounds: int,
     local_steps: int,
     lr: float,
-) -> FittedModel:
-    """Simulated FedAvg on the weighted objective.
+) -> list[FittedModel]:
+    """Simulated FedAvg on the weighted objective of each weight row; one model per row, in order.
 
     Each round broadcasts the model, every agent with positive weight takes
     ``local_steps`` gradient steps on its local risk (including the shared
     lam penalty), and the server replaces the model by the weighted sum of
     the local models, with the agents' weights renormalized over
-    participants.  For the squared loss all participants step at once, each
-    on its own S_k and r_k.
+    participants.  For the squared loss the rows with m participants step
+    together, rows x m local models at once, each on its own S_k and r_k.
     """
-    w = _normalized(weights)
     if rounds < 0 or local_steps < 1 or lr <= 0:
         raise ValueError("rounds must be >= 0, local_steps >= 1, lr > 0")
-    participants = [k for k in range(len(datasets)) if w[k] > 0.0]
-    part_total = float(sum(w[k] for k in participants))
+    rows = _weight_rows(weights, datasets)
     d = datasets[0].dim
-    theta = np.zeros(_param_dim(spec, d))
+    participants = [np.flatnonzero(w > 0.0) for w in rows]
+    shares = [w[part] / float(sum(w[k] for k in part)) for w, part in zip(rows, participants)]
     if spec.kind == LOGISTIC_GD:
-        for _ in range(rounds):
-            aggregate = np.zeros_like(theta)
-            for k in participants:
-                local = theta
-                for _ in range(local_steps):
-                    grad = _local_gradient(spec, datasets[k], local) + 2.0 * spec.lam * local
-                    local = local - lr * grad
-                aggregate = aggregate + (w[k] / part_total) * local
-            theta = aggregate
-        return _unpack(theta, spec, d)
+        models = []
+        for share, part in zip(shares, participants):
+            theta = np.zeros(_param_dim(spec, d))
+            for _ in range(rounds):
+                aggregate = np.zeros_like(theta)
+                for wk, k in zip(share, part):
+                    local = theta
+                    for _ in range(local_steps):
+                        local = local - lr * (_local_gradient(spec, datasets[k], local) + 2.0 * spec.lam * local)
+                    aggregate = aggregate + wk * local
+                theta = aggregate
+            models.append(_unpack(theta, spec, d))
+        return models
+    if not rows:
+        return []
 
-    S, r, w_active = _moment_slices(w, datasets)
-    share = w_active / part_total
+    stack, at = _moment_stack(rows, datasets)
+    theta = np.zeros((len(rows), d + 1))
+    by_count: dict[int, list[int]] = {}
+    for i, part in enumerate(participants):
+        by_count.setdefault(part.size, []).append(i)
+    for m, members in by_count.items():
+        chunk = max(1, _FEDAVG_CHUNK_BYTES // (m * stack[0].nbytes))
+        for lo in range(0, len(members), chunk):
+            idx = members[lo:lo + chunk]
+            M = stack[at[np.stack([participants[i] for i in idx])]]
+            share = np.stack([shares[i] for i in idx])
+            theta[idx] = _fedavg_rounds(spec.lam, M[..., :-1, :-1], M[..., :-1, -1], share, rounds, local_steps, lr)
+    return [_unpack(row, spec, d) for row in theta]
+
+
+def _fedavg_rounds(lam, S, r, share, rounds, local_steps, lr) -> np.ndarray:
+    """FedAvg of rows x m participants from S (rows x m x p x p), r and share (rows x m)."""
+    theta = np.zeros((share.shape[0], S.shape[-1]))
     for _ in range(rounds):
-        local = theta  # broadcast to one row per participant by the first step
+        local = theta[:, None, :]  # broadcast to one row per participant by the first step
         for _ in range(local_steps):
             resid = (S @ local[..., None])[..., 0] - r
-            local = local - lr * (2.0 * resid + 2.0 * spec.lam * local)
-        theta = share @ local
-    return _unpack(theta, spec, d)
+            local = local - lr * (2.0 * resid + 2.0 * lam * local)
+        theta = (share[:, None, :] @ local)[:, 0, :]
+    return theta
 
 
 def evaluate(model: FittedModel, test: AgentDataset, metric: str) -> float:

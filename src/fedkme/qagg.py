@@ -15,12 +15,14 @@ b[k] = C_Q sqrt(q_k)/sqrt(n_t) + C_P M ||nu_k - nu_t|| / n_t.
 
 The program is solved exactly by a primal active-set method (Nocedal &
 Wright, *Numerical Optimization*, ch. 16).  It starts at the vertex e_t, where
-the gradient is just b, so e_t is returned at once whenever b_t <= b_k for
-every k.  Each step solves the KKT system of the program restricted to the
-current support; the method stops with a certificate, g_k = lambda on the
-support and g_k >= lambda off it for g = 2 A w + b.  A and b are first divided
-by max(|A|_max, |b|_inf), so its tolerances are relative and poly2 lifts of
-any magnitude behave alike.  When the minimiser is not unique, the minimisers
+the gradient is just b, so e_t is returned at once whenever b_t is strictly
+below every other b_k, by the solver's relative tolerance: A is PSD with a
+zero row t, so e_t is then the unique minimiser.  Otherwise each step solves
+the KKT system of the program restricted to the current support; the method
+stops with a certificate, g_k = lambda on the support and g_k >= lambda off
+it for g = 2 A w + b.  A and b are first divided by max(|A|_max, |b|_inf),
+so its tolerances are relative and poly2 lifts of any magnitude behave
+alike.  When the minimiser is not unique, the minimisers
 form a face on which A w is fixed, and the minimum-norm point of that set is
 returned: identical agents get equal weight, and the zero program gives the
 uniform vector.  ``QaggConfig.t`` caps the number of steps; reaching the cap
@@ -269,6 +271,8 @@ def _solve(A: np.ndarray, b: np.ndarray, t: int, cap: int) -> np.ndarray:
     A, b = A / scale, b / scale
     start = np.zeros(B)
     start[t] = 1.0
+    if np.delete(b, t).min(initial=math.inf) - b[t] > _TOL:
+        return start  # a strict vertex; ties and near-ties take the full solve to the minimum-norm point
     w, reduced = _active_set(A, b, np.ones((1, B)), start, [t], np.ones(B, dtype=bool), cap)
     # the optimal face: A w is fixed on it, so its least-norm point solves a second program
     face = reduced <= _TOL

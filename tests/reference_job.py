@@ -1,0 +1,33 @@
+"""A reference ``fedkme run`` job: every row fitted, charged and evaluated on its own.
+
+``cli._run_job`` fits each distinct weight row of a job once, in one batched
+call per fit path.  This job fits one row per call and reuses nothing, so a
+run with it in place of ``cli._run_job`` must write the same bytes.
+"""
+
+from fedkme import cli, fedsim, models
+
+
+def job_without_reuse(cfg, gi, rep, with_qagg):
+    """The job loop as if no weight row repeated: one fit, charge and evaluation per target and method."""
+    data, pcfg, wrows, ledger = cli._learn_job(cfg, gi, rep)
+    metric = models.ACCURACY if cfg.model_kind == models.LOGISTIC_GD else models.MSE
+    rows = []
+    for t, w in enumerate(wrows):
+        (model,) = fedsim.fit_model(pcfg, [w], data.datasets)
+        fedsim.charge_fedavg(pcfg, w, model, ledger)
+        rows.append(("Qagg", data.params[t], rep, t, models.evaluate(model, data.tests[t], metric)))
+    for policy in cfg.baselines:
+        for t, w in enumerate(fedsim.baseline_weights(policy, data.datasets, data.groups)):
+            (model,) = models.fit_weighted(pcfg.model, [w], data.datasets)
+            value = models.evaluate(model, data.tests[t], metric)
+            rows.append((cli._METHOD_NAMES[policy], data.params[t], rep, t, value))
+    return cli._JobResult(rows, wrows, ledger, None)
+
+
+def run_without_reuse(monkeypatch, cfg, out_dir):
+    """``cmd_run`` into a new ``out_dir`` with :func:`job_without_reuse` as every job; returns its output paths."""
+    out_dir.mkdir()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_run_job", job_without_reuse)
+        return cli.cmd_run(cfg, out_dir)

@@ -259,7 +259,7 @@ def test_A7_concept_shift_tracks_oracle_then_local_with_crossover():
                 learned = run_protocol(cfg, datasets, t).weights
 
                 def mse(wv) -> float:
-                    model = fit_weighted(mspec, wv, datasets)
+                    model = fit_weighted(mspec, [wv], datasets)[0]
                     return evaluate(model, tests[t], metric="mse")
 
                 acc["q"].append(mse(learned))
@@ -297,7 +297,7 @@ def test_A8_ridge_fedavg_and_gradients_are_consistent():
         raw = np.abs(g.normal(size=B)) + 0.1
         w = SimplexWeights(raw / raw.sum())
         spec = ModelSpec(kind="ridge", lam=float(g.uniform(0.01, 1.0)))
-        model = fit_weighted(spec, w, datasets)
+        model = fit_weighted(spec, [w], datasets)[0]
         assert model.status == "ok"
         p = d + 1
         G = np.zeros((p, p))
@@ -314,8 +314,8 @@ def test_A8_ridge_fedavg_and_gradients_are_consistent():
     datasets = [AgentDataset(g.normal(size=(30, 3)), g.normal(size=30)) for _ in range(3)]
     w = SimplexWeights(np.array([0.5, 0.3, 0.2]))
     spec = ModelSpec(kind="ridge", lam=0.1)
-    closed = fit_weighted(spec, w, datasets)
-    iterated = fedavg(spec, w, datasets, rounds=500, local_steps=1, lr=0.05)
+    closed = fit_weighted(spec, [w], datasets)[0]
+    iterated = fedavg(spec, [w], datasets, rounds=500, local_steps=1, lr=0.05)[0]
     ref = np.concatenate([closed.coefficients, [closed.intercept]])
     got = np.concatenate([iterated.coefficients, [iterated.intercept]])
     rel = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))

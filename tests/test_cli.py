@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedkme import cli, fedsim, models
+from fedkme import cli, fedsim
 from fedkme.cli import (
     ConfigError,
     ExperimentConfig,
@@ -22,6 +22,7 @@ from fedkme.cli import (
     validate_config,
 )
 from fedkme.qagg import SimplexWeights, theory_config, weights_matrix
+from reference_job import run_without_reuse
 
 TINY = ExperimentConfig(
     grid=(0.0, 1.0),
@@ -451,33 +452,21 @@ def test_theory_preset_needs_one_sample_count(tmp_path, capsys):
     assert "the theory preset needs one sample count for every agent, got [6, 8]" in capsys.readouterr().err
 
 
-def _job_without_reuse(cfg, gi, rep, with_qagg):
-    """Reference job loop: every row fitted and evaluated on its own, as if nothing repeated."""
-    data, pcfg, wrows, ledger = cli._learn_job(cfg, gi, rep)
-    rows = []
-    for t, w in enumerate(wrows):
-        model = fedsim.fit_model(pcfg, w, data.datasets, ledger)
-        rows.append(("Qagg", data.params[t], rep, t, models.evaluate(model, data.tests[t], models.MSE)))
-    for policy in cfg.baselines:
-        for t, w in enumerate(fedsim.baseline_weights(policy, data.datasets, data.groups)):
-            model = models.fit_weighted(pcfg.model, w, data.datasets)
-            value = models.evaluate(model, data.tests[t], models.MSE)
-            rows.append((cli._METHOD_NAMES[policy], data.params[t], rep, t, value))
-    return cli._JobResult(rows, wrows, ledger, None)
-
-
 def _assert_reuse_changes_no_byte(tmp_path, monkeypatch, cfg, paths):
-    ref_dir = tmp_path / "no-reuse"
-    ref_dir.mkdir()
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_run_job", _job_without_reuse)
-        ref = cmd_run(cfg, ref_dir)
+    ref = run_without_reuse(monkeypatch, cfg, tmp_path / "no-reuse")
     for key in ("results", "weights", "comm"):
         assert paths[key].read_bytes() == ref[key].read_bytes(), key
 
 
+_FIT_ENTRY_POINTS = ("fit_weighted", "fedavg", "fit_model")
+
+
 def _counted_run(tmp_path, monkeypatch, cfg, targets):
-    """cmd_run with a call counter on each (module, name) in ``targets``."""
+    """cmd_run with a counter on each (module, name) in ``targets``.
+
+    A fit entry point takes a batch of weight rows, so it counts the rows it
+    fits; anything else counts its calls.
+    """
     calls = Counter()
     out = tmp_path / "reuse"
     out.mkdir()
@@ -486,7 +475,7 @@ def _counted_run(tmp_path, monkeypatch, cfg, targets):
             original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+                calls[_name] += len(args[1]) if _name in _FIT_ENTRY_POINTS else 1
                 return _original(*args, **kwargs)
 
             m.setattr(owner, name, counted)
@@ -501,7 +490,7 @@ def test_run_fits_each_distinct_weight_row_once(tmp_path, monkeypatch):
     B, n_groups = len(wrows), len(set(data.groups))
     assert np.array_equal(weights_matrix(wrows), np.eye(B))  # every Qagg row is e_t
     assert n_groups == 2
-    # closed-form Qagg fits reach models.fit_weighted through fedsim.fit_model
+    # the closed-form Qagg and baseline rows are one batch; fedsim.fit_model is the FedAvg path's
     calls, paths = _counted_run(tmp_path, monkeypatch, cfg, [
         (cli, "fit_weighted"), (fedsim, "fit_weighted"), (cli, "evaluate"), (cli, "baseline_weights"),
     ])

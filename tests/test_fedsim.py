@@ -19,6 +19,7 @@ from fedkme.fedsim import (
     CommLedger,
     ProtocolConfig,
     baseline_weights,
+    charge_fedavg,
     fit_model,
     run_protocol,
     run_protocol_all,
@@ -255,7 +256,8 @@ def test_run_protocol_all_matches_per_target_weights():
             single = run_protocol(cfg, datasets, target=t)
             np.testing.assert_array_equal(row.w, single.weights.w)
             before = len(ledger.entries)
-            model = fit_model(cfg, row, datasets, ledger)
+            (model,) = fit_model(cfg, [row], datasets)
+            charge_fedavg(cfg, row, model, ledger)
             np.testing.assert_array_equal(model.coefficients, single.model.coefficients)
             np.testing.assert_array_equal(model.intercept, single.model.intercept)
             trips = sum(e[3] == "model_round_trip" for e in single.ledger.entries)

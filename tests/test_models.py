@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from fedkme import models
 from fedkme.data import AgentDataset, audit_raw_access
 from fedkme.models import (
     ACCURACY,
@@ -56,18 +57,18 @@ def test_zero_weights_rejected():
     datasets = _regression_agents(0, B=2)
     spec = ModelSpec(kind=RIDGE, lam=0.1)
     with pytest.raises(ValueError):
-        fit_weighted(spec, np.zeros(2), datasets)
+        fit_weighted(spec, [np.zeros(2)], datasets)
     with pytest.raises(ValueError):
-        fit_weighted(spec, np.array([1.0, -1.0]), datasets)
+        fit_weighted(spec, [np.array([1.0, -1.0])], datasets)
     with pytest.raises(ValueError):
-        fit_weighted(spec, SimplexWeights(np.array([1.0])), datasets)
+        fit_weighted(spec, [SimplexWeights(np.array([1.0]))], datasets)
 
 
 def test_unit_weight_on_target_is_a_local_fit():
     datasets = _regression_agents(1)
     spec = ModelSpec(kind=RIDGE, lam=0.05)
-    pooled = fit_weighted(spec, SimplexWeights(np.array([1.0, 0.0, 0.0])), datasets)
-    solo = fit_weighted(spec, SimplexWeights(np.array([1.0])), [datasets[0]])
+    pooled = fit_weighted(spec, [SimplexWeights(np.array([1.0, 0.0, 0.0]))], datasets)[0]
+    solo = fit_weighted(spec, [SimplexWeights(np.array([1.0]))], [datasets[0]])[0]
     np.testing.assert_array_equal(pooled.coefficients, solo.coefficients)
     assert pooled.intercept == solo.intercept
 
@@ -76,8 +77,8 @@ def test_equal_weights_on_copies_match_single_fit():
     datasets = _regression_agents(2, B=1)
     ds = datasets[0]
     spec = ModelSpec(kind=RIDGE, lam=0.2)
-    split = fit_weighted(spec, SimplexWeights(np.array([0.5, 0.5])), [ds, ds])
-    single = fit_weighted(spec, SimplexWeights(np.array([1.0])), [ds])
+    split = fit_weighted(spec, [SimplexWeights(np.array([0.5, 0.5]))], [ds, ds])[0]
+    single = fit_weighted(spec, [SimplexWeights(np.array([1.0]))], [ds])[0]
     np.testing.assert_allclose(split.coefficients, single.coefficients, rtol=1e-10)
     assert split.intercept == pytest.approx(single.intercept, rel=1e-10)
 
@@ -87,8 +88,8 @@ def test_weight_rescaling_is_bitwise_neutral():
     datasets = _regression_agents(3)
     spec = ModelSpec(kind=RIDGE, lam=0.1)
     w = np.array([0.5, 0.25, 0.25])
-    a = fit_weighted(spec, w, datasets)
-    b = fit_weighted(spec, 2.0 * w, datasets)
+    a = fit_weighted(spec, [w], datasets)[0]
+    b = fit_weighted(spec, [2.0 * w], datasets)[0]
     np.testing.assert_array_equal(a.coefficients, b.coefficients)
     assert a.intercept == b.intercept
 
@@ -101,7 +102,7 @@ def test_ridge_normal_equation_residual():
         w = g.dirichlet(np.ones(B))
         lam = float(g.uniform(0.01, 1.0))
         spec = ModelSpec(kind=RIDGE, lam=lam)
-        model = fit_weighted(spec, SimplexWeights(w), datasets)
+        model = fit_weighted(spec, [SimplexWeights(w)], datasets)[0]
         p = datasets[0].dim + 1
         G = np.zeros((p, p))
         r = np.zeros(p)
@@ -119,7 +120,7 @@ def test_ridge_is_the_weighted_objective_minimum():
     datasets = _regression_agents(5)
     w = np.array([0.6, 0.3, 0.1])
     spec = ModelSpec(kind=RIDGE, lam=0.3)
-    model = fit_weighted(spec, SimplexWeights(w), datasets)
+    model = fit_weighted(spec, [SimplexWeights(w)], datasets)[0]
     theta = _theta(model)
     base = weighted_objective(spec, w, datasets, theta)
     g = np.random.default_rng(6)
@@ -134,7 +135,7 @@ def test_singular_unpenalized_system_reports_min_norm():
     X = np.hstack([base, base[:, :1]])
     y = base @ np.array([1.0, -2.0]) + 0.05 * g.normal(size=12)
     spec = ModelSpec(kind=RIDGE, lam=0.0)
-    model = fit_weighted(spec, SimplexWeights(np.array([1.0])), [AgentDataset(X, y)])
+    model = fit_weighted(spec, [SimplexWeights(np.array([1.0]))], [AgentDataset(X, y)])[0]
     assert model.status == "singular-min-norm"
     assert np.all(np.isfinite(model.coefficients))
     pred = model.predict(X)
@@ -147,7 +148,7 @@ def test_singular_when_fewer_samples_than_parameters():
     g = np.random.default_rng(23)
     datasets = [AgentDataset(g.normal(size=(n, 12)), g.normal(size=n)) for n in (4, 5)]
     w = np.array([0.3, 0.7])
-    model = fit_weighted(ModelSpec(kind=RIDGE, lam=0.0), SimplexWeights(w), datasets)
+    model = fit_weighted(ModelSpec(kind=RIDGE, lam=0.0), [SimplexWeights(w)], datasets)[0]
     assert model.status == "singular-min-norm"
     H, r = _row_normal_equations(w, datasets, 0.0)
     expected = np.linalg.pinv(H, rcond=1e-10) @ r
@@ -207,15 +208,101 @@ def test_moment_fits_match_row_based_references():
     w = np.array([0.45, 0.0, 0.35, 0.2])
     ridge = ModelSpec(kind=RIDGE, lam=0.3)
     H, r = _row_normal_equations(w, datasets, ridge.lam)
-    got = _theta(fit_weighted(ridge, SimplexWeights(w), datasets))
+    got = _theta(fit_weighted(ridge, [SimplexWeights(w)], datasets)[0])
     assert _relative_error(got, np.linalg.solve(H, r)) <= 1e-10
 
     gd = ModelSpec(kind=LINEAR_GD, lam=0.3, lr=0.05, epochs=60)
-    got = _theta(fit_weighted(gd, SimplexWeights(w), datasets))
+    got = _theta(fit_weighted(gd, [SimplexWeights(w)], datasets)[0])
     assert _relative_error(got, _row_gd(gd, w, datasets)) <= 1e-10
 
-    fed = fedavg(gd, SimplexWeights(w), datasets, rounds=15, local_steps=4, lr=0.04)
+    fed = fedavg(gd, [SimplexWeights(w)], datasets, rounds=15, local_steps=4, lr=0.04)[0]
     assert _relative_error(_theta(fed), _row_fedavg(gd, w, datasets, 15, 4, 0.04)) <= 1e-10
+
+
+def _moment_form(w, datasets):
+    """One normalized row, its active agents, their stacked augmented moments, and its S_w and r_w."""
+    w = w / w.sum()
+    active = np.flatnonzero(w > 0.0)
+    M = np.stack([datasets[k].moments() for k in active])
+    return w, active, M, np.tensordot(w[active], M[:, :-1, :-1], axes=1), w[active] @ M[:, :-1, -1]
+
+
+def _one_row_gd(spec, w, datasets):
+    """Gradient descent on one row's weighted moments, one mat-vec per epoch."""
+    _, _, _, S_w, r_w = _moment_form(w, datasets)
+    theta = np.zeros(S_w.shape[0])
+    for _ in range(spec.epochs):
+        theta = theta - spec.lr * (2.0 * spec.lam * theta + 2.0 * (S_w @ theta - r_w))
+    return theta
+
+
+def _one_row_fedavg(spec, w, datasets, rounds, local_steps, lr):
+    """FedAvg of one row, its participants stepped as one stack."""
+    w, active, M, _, _ = _moment_form(w, datasets)
+    S, r = M[:, :-1, :-1], M[:, :-1, -1]
+    share = w[active] / float(sum(w[k] for k in active))
+    theta = np.zeros(S.shape[-1])
+    for _ in range(rounds):
+        local = theta
+        for _ in range(local_steps):
+            resid = (S @ local[..., None])[..., 0] - r
+            local = local - lr * (2.0 * resid + 2.0 * spec.lam * local)
+        theta = share @ local
+    return theta
+
+
+def _mixed_rows(g, B):
+    """Vertex rows, a 2-agent row, a dense row, the dense row with a zero-weight agent, and a repeat."""
+    eye = np.eye(B)
+    pair = np.zeros(B)
+    pair[[1, 3]] = [0.3, 0.7]
+    dense = g.dirichlet(np.ones(B))
+    ghost = dense.copy()
+    ghost[2] = 0.0
+    return [eye[0], eye[B - 1], pair, dense, ghost / ghost.sum(), eye[0], eye[2]]
+
+
+def test_gd_batch_rows_are_their_one_row_bits():
+    g = np.random.default_rng(28)
+    datasets = [AgentDataset(X, X @ g.normal(size=3) + 0.2 * g.normal(size=len(X)))
+                for X in (g.normal(loc=0.5, size=(n, 3)) for n in (7, 19, 11, 4, 9))]
+    rows = _mixed_rows(g, len(datasets))
+    for spec in (ModelSpec(kind=LINEAR_GD, lam=0.3, lr=0.05, epochs=60), ModelSpec(kind=RIDGE, lam=0.3)):
+        batch = fit_weighted(spec, rows, datasets)
+        assert len(batch) == len(rows)
+        for w, model in zip(rows, batch):
+            (one,) = fit_weighted(spec, [SimplexWeights(w)], datasets)
+            np.testing.assert_array_equal(_theta(model), _theta(one))
+            assert model.status == one.status
+            if spec.kind == LINEAR_GD:
+                np.testing.assert_array_equal(_theta(one), _one_row_gd(spec, w, datasets))
+
+
+@pytest.mark.parametrize("rounds, local_steps", [(0, 1), (7, 1), (9, 3)])
+def test_fedavg_batch_rows_are_their_one_row_bits(rounds, local_steps):
+    g = np.random.default_rng(29)
+    datasets = _regression_agents(29, B=5, n=13, d=3)
+    rows = _mixed_rows(g, len(datasets))
+    spec = ModelSpec(kind=LINEAR_GD, lam=0.2)
+    batch = fedavg(spec, rows, datasets, rounds=rounds, local_steps=local_steps, lr=0.04)
+    assert len(batch) == len(rows)
+    for w, model in zip(rows, batch):
+        (one,) = fedavg(spec, [w], datasets, rounds=rounds, local_steps=local_steps, lr=0.04)
+        np.testing.assert_array_equal(_theta(model), _theta(one))
+        np.testing.assert_array_equal(_theta(one), _one_row_fedavg(spec, w, datasets, rounds, local_steps, 0.04))
+
+
+def test_fedavg_dense_rows_past_the_chunk_budget_keep_their_bits():
+    B, d, R = 100, 20, 12
+    # each dense row stacks B participant moments; R of them overflow one chunk
+    assert models._FEDAVG_CHUNK_BYTES // (B * (d + 2) ** 2 * 8) < R
+    g = np.random.default_rng(30)
+    datasets = _regression_agents(30, B=B, n=25, d=d)
+    rows = list(g.dirichlet(np.ones(B), size=R))
+    spec = ModelSpec(kind=LINEAR_GD, lam=0.1)
+    batch = fedavg(spec, rows, datasets, rounds=2, local_steps=2, lr=0.01)
+    for w, model in zip(rows, batch):
+        np.testing.assert_array_equal(_theta(model), _one_row_fedavg(spec, w, datasets, 2, 2, 0.01))
 
 
 def test_second_fit_reads_no_raw_rows():
@@ -223,12 +310,12 @@ def test_second_fit_reads_no_raw_rows():
     w = SimplexWeights(np.array([0.5, 0.3, 0.2]))
     specs = [ModelSpec(kind=RIDGE, lam=0.1), ModelSpec(kind=LINEAR_GD, lam=0.1, epochs=5)]
     with audit_raw_access() as first:
-        fit_weighted(specs[0], w, datasets)
+        fit_weighted(specs[0], [w], datasets)
     assert sorted(map(id, set(first))) == sorted(map(id, datasets))
     with audit_raw_access() as later:
         for spec in specs:
-            fit_weighted(spec, w, datasets)
-            fedavg(spec, w, datasets, rounds=3, local_steps=2, lr=0.05)
+            fit_weighted(spec, [w], datasets)
+            fedavg(spec, [w], datasets, rounds=3, local_steps=2, lr=0.05)
     assert later == []
 
 
@@ -242,17 +329,19 @@ def test_moments_are_the_augmented_second_moment():
     with pytest.raises(ValueError, match="labeled"):
         AgentDataset(X).moments()
     with pytest.raises(ValueError, match="labeled"):
-        fit_weighted(ModelSpec(kind=RIDGE, lam=0.1), np.array([1.0]), [AgentDataset(X)])
+        fit_weighted(ModelSpec(kind=RIDGE, lam=0.1), [np.array([1.0])], [AgentDataset(X)])
 
 
 def test_logistic_fits_keep_the_row_based_bits():
     g = np.random.default_rng(27)
     datasets = [AgentDataset(g.normal(size=(n, 2)), g.integers(0, 3, size=n).astype(float)) for n in (8, 13, 5)]
-    w = np.array([0.5, 0.0, 0.5])
+    rows = [np.array([0.5, 0.0, 0.5]), np.array([0.0, 1.0, 0.0]), np.array([0.2, 0.3, 0.5])]
     spec = ModelSpec(kind=LOGISTIC_GD, classes=3, lam=0.05, lr=0.3, epochs=40)
-    np.testing.assert_array_equal(_theta(fit_weighted(spec, SimplexWeights(w), datasets)), _row_gd(spec, w, datasets))
-    fed = fedavg(spec, SimplexWeights(w), datasets, rounds=6, local_steps=3, lr=0.2)
-    np.testing.assert_array_equal(_theta(fed), _row_fedavg(spec, w, datasets, 6, 3, 0.2))
+    fits = fit_weighted(spec, [SimplexWeights(w) for w in rows], datasets)
+    feds = fedavg(spec, rows, datasets, rounds=6, local_steps=3, lr=0.2)
+    for w, model, fed in zip(rows, fits, feds):
+        np.testing.assert_array_equal(_theta(model), _row_gd(spec, w, datasets))
+        np.testing.assert_array_equal(_theta(fed), _row_fedavg(spec, w, datasets, 6, 3, 0.2))
 
 
 def test_gradient_matches_finite_differences():
@@ -293,15 +382,15 @@ def test_logistic_gradient_matches_finite_differences():
 def test_linear_gd_approaches_closed_form():
     datasets = _regression_agents(11, B=2, n=40, d=3)
     w = SimplexWeights(np.array([0.5, 0.5]))
-    exact = fit_weighted(ModelSpec(kind=RIDGE, lam=0.1), w, datasets)
-    gd = fit_weighted(ModelSpec(kind=LINEAR_GD, lam=0.1, lr=0.05, epochs=4000), w, datasets)
+    exact = fit_weighted(ModelSpec(kind=RIDGE, lam=0.1), [w], datasets)[0]
+    gd = fit_weighted(ModelSpec(kind=LINEAR_GD, lam=0.1, lr=0.05, epochs=4000), [w], datasets)[0]
     np.testing.assert_allclose(gd.coefficients, exact.coefficients, rtol=1e-3, atol=1e-4)
 
 
 def test_fedavg_zero_rounds_is_the_zero_model():
     datasets = _regression_agents(12, B=2)
     spec = ModelSpec(kind=RIDGE, lam=0.1)
-    model = fedavg(spec, SimplexWeights(np.array([0.5, 0.5])), datasets, rounds=0, local_steps=1, lr=0.05)
+    model = fedavg(spec, [SimplexWeights(np.array([0.5, 0.5]))], datasets, rounds=0, local_steps=1, lr=0.05)[0]
     np.testing.assert_array_equal(model.coefficients, np.zeros(4))
     assert model.intercept == 0.0
 
@@ -313,7 +402,7 @@ def test_fedavg_single_local_step_equals_centralized_gd():
     w = np.array([0.5, 0.3, 0.2])
     spec = ModelSpec(kind=LINEAR_GD, lam=0.15)
     lr = 0.04
-    fed = fedavg(spec, SimplexWeights(w), datasets, rounds=20, local_steps=1, lr=lr)
+    fed = fedavg(spec, [SimplexWeights(w)], datasets, rounds=20, local_steps=1, lr=lr)[0]
     theta = np.zeros(4)
     for _ in range(20):
         theta = theta - lr * weighted_gradient(spec, w, datasets, theta)
@@ -323,7 +412,7 @@ def test_fedavg_single_local_step_equals_centralized_gd():
 def test_fedavg_single_agent_is_plain_gd():
     datasets = _regression_agents(14, B=1, n=25)
     spec = ModelSpec(kind=LINEAR_GD, lam=0.0)
-    fed = fedavg(spec, SimplexWeights(np.array([1.0])), datasets, rounds=6, local_steps=5, lr=0.03)
+    fed = fedavg(spec, [SimplexWeights(np.array([1.0]))], datasets, rounds=6, local_steps=5, lr=0.03)[0]
     theta = np.zeros(5)
     for _ in range(30):
         theta = theta - 0.03 * weighted_gradient(spec, np.array([1.0]), datasets, theta)
@@ -336,8 +425,8 @@ def test_fedavg_converges_to_closed_form():
     datasets = _regression_agents(15, B=3, n=30, d=3)
     w = SimplexWeights(np.array([0.4, 0.4, 0.2]))
     spec = ModelSpec(kind=RIDGE, lam=0.2)
-    exact = _theta(fit_weighted(spec, w, datasets))
-    fed = fedavg(spec, w, datasets, rounds=500, local_steps=1, lr=0.05)
+    exact = _theta(fit_weighted(spec, [w], datasets)[0])
+    fed = fedavg(spec, [w], datasets, rounds=500, local_steps=1, lr=0.05)[0]
     err = float(np.linalg.norm(_theta(fed) - exact) / np.linalg.norm(exact))
     assert err <= 1e-3
 
@@ -346,10 +435,10 @@ def test_fedavg_multi_step_drift_shrinks_with_the_learning_rate():
     datasets = _regression_agents(15, B=3, n=30, d=3)
     w = SimplexWeights(np.array([0.4, 0.4, 0.2]))
     spec = ModelSpec(kind=RIDGE, lam=0.2)
-    exact = _theta(fit_weighted(spec, w, datasets))
+    exact = _theta(fit_weighted(spec, [w], datasets)[0])
 
     def drift(lr, rounds):
-        fed = fedavg(spec, w, datasets, rounds=rounds, local_steps=5, lr=lr)
+        fed = fedavg(spec, [w], datasets, rounds=rounds, local_steps=5, lr=lr)[0]
         return float(np.linalg.norm(_theta(fed) - exact))
 
     assert drift(0.003, 5000) <= 0.5 * drift(0.03, 500)
@@ -359,11 +448,11 @@ def test_fedavg_skips_zero_weight_agents():
     datasets = _regression_agents(16, B=3)
     spec = ModelSpec(kind=LINEAR_GD, lam=0.1)
     with_ghost = fedavg(
-        spec, np.array([0.5, 0.5, 0.0]), datasets, rounds=10, local_steps=3, lr=0.05
-    )
+        spec, [np.array([0.5, 0.5, 0.0])], datasets, rounds=10, local_steps=3, lr=0.05
+    )[0]
     without = fedavg(
-        spec, np.array([0.5, 0.5]), datasets[:2], rounds=10, local_steps=3, lr=0.05
-    )
+        spec, [np.array([0.5, 0.5])], datasets[:2], rounds=10, local_steps=3, lr=0.05
+    )[0]
     np.testing.assert_array_equal(with_ghost.coefficients, without.coefficients)
 
 
@@ -371,11 +460,11 @@ def test_fedavg_argument_validation():
     datasets = _regression_agents(17, B=1)
     spec = ModelSpec(kind=RIDGE)
     with pytest.raises(ValueError):
-        fedavg(spec, np.array([1.0]), datasets, rounds=-1, local_steps=1, lr=0.1)
+        fedavg(spec, [np.array([1.0])], datasets, rounds=-1, local_steps=1, lr=0.1)
     with pytest.raises(ValueError):
-        fedavg(spec, np.array([1.0]), datasets, rounds=1, local_steps=0, lr=0.1)
+        fedavg(spec, [np.array([1.0])], datasets, rounds=1, local_steps=0, lr=0.1)
     with pytest.raises(ValueError):
-        fedavg(spec, np.array([1.0]), datasets, rounds=1, local_steps=1, lr=0.0)
+        fedavg(spec, [np.array([1.0])], datasets, rounds=1, local_steps=1, lr=0.0)
 
 
 def test_evaluate_perfect_fit_has_zero_mse():
@@ -383,7 +472,7 @@ def test_evaluate_perfect_fit_has_zero_mse():
     X = g.normal(size=(50, 3))
     beta = np.array([1.0, -2.0, 0.5])
     ds = AgentDataset(X, X @ beta + 1.0)
-    model = fit_weighted(ModelSpec(kind=RIDGE, lam=0.0), np.array([1.0]), [ds])
+    model = fit_weighted(ModelSpec(kind=RIDGE, lam=0.0), [np.array([1.0])], [ds])[0]
     assert evaluate(model, ds, MSE) <= 1e-20
 
 
@@ -423,7 +512,7 @@ def test_logistic_separable_reaches_full_accuracy():
     y = np.repeat([0.0, 1.0], 40)
     ds = AgentDataset(X, y)
     spec = ModelSpec(kind=LOGISTIC_GD, classes=2, lr=0.5, epochs=300)
-    model = fit_weighted(spec, np.array([1.0]), [ds])
+    model = fit_weighted(spec, [np.array([1.0])], [ds])[0]
     assert evaluate(model, ds, ACCURACY) == 1.0
 
 
@@ -434,7 +523,7 @@ def test_logistic_three_class_smoke():
     y = np.repeat([0.0, 1.0, 2.0], 30)
     ds = AgentDataset(X, y)
     spec = ModelSpec(kind=LOGISTIC_GD, classes=3, lr=0.5, epochs=300)
-    model = fit_weighted(spec, np.array([1.0]), [ds])
+    model = fit_weighted(spec, [np.array([1.0])], [ds])[0]
     assert model.coefficients.shape == (2, 3)
     assert np.shape(model.intercept) == (3,)
     assert evaluate(model, ds, ACCURACY) >= 0.95

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedkme import qagg
 from fedkme.data import AgentDataset, audit_raw_access
 from fedkme.embedding import EXACT, POLY2, embed, local_features
 from fedkme.kernels import isotropic_gaussian_kernel
@@ -293,6 +294,41 @@ def test_optimize_raises_at_the_step_cap():
     np.testing.assert_allclose(optimize(problem, ones_config()).w, [0.5, 0.5])
     with pytest.raises(ArithmeticError, match="active-set steps"):
         optimize(problem, ones_config(t=1))
+
+
+def test_strict_vertex_is_returned_without_the_active_set(monkeypatch):
+    # A is PSD with a zero target row, so b_t strictly below every other b_k
+    # makes e_t the unique minimiser; it needs no active-set step
+    A = np.zeros((3, 3))
+    A[1:, 1:] = [[2.0, 0.5], [0.5, 1.0]]
+    problem = QaggProblem(A=A, b=np.array([0.1, 0.5, 0.7]), op_norm_A=2.2, inf_norm_b=0.7, target_index=0)
+
+    def refuse(*args):
+        raise AssertionError("a strict vertex reached the active-set method")
+
+    with monkeypatch.context() as m:
+        m.setattr(qagg, "_active_set", refuse)
+        np.testing.assert_array_equal(optimize(problem, ones_config()).w, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12])
+def test_tied_vertex_takes_the_full_solve_to_the_minimum_norm_point(monkeypatch, gap):
+    # agent 1 duplicates the target, and its cost ties with the target's, up
+    # to the solver's tolerance: every split between them is optimal
+    calls = []
+    solve = qagg._active_set
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(qagg, "_active_set", counted)
+    problem = QaggProblem(
+        A=np.diag([0.0, 0.0, 1.0]), b=np.array([0.5, 0.5 + gap, 0.7]), op_norm_A=1.0, inf_norm_b=0.7,
+        target_index=0,
+    )
+    np.testing.assert_allclose(optimize(problem, ones_config()).w, [0.5, 0.5, 0.0], atol=1e-12)
+    assert calls
 
 
 def test_operator_norm_matches_dense_solver():
