@@ -30,8 +30,8 @@ def main() -> None:
             spec = ConceptShiftSpec(
                 sigma_c2=sc2, b=b, n_k=n_k, d=d, sigma_y2=8.0, seed=1000 + rep
             )
-            datasets, _, groups = gen_concept_shift(spec)
-            tests = concept_shift_test_sets(spec, 400)
+            datasets, betas, groups = gen_concept_shift(spec)
+            tests = concept_shift_test_sets(spec, betas, groups, 400)
             cfg = ProtocolConfig(
                 kernel=concept_shift_kernel(d), d_rff=200, seed=7,
                 qagg=qcfg, model=mspec,

@@ -366,8 +366,8 @@ def _build_data(cfg: ExperimentConfig, gi: int, rep: int) -> _JobData:
             sigma_c2=cfg.grid[gi], b=cfg.agents, n_k=cfg.samples_per_agent,
             d=cfg.dim, sigma_y2=cfg.noise_var, seed=data_seed,
         )
-        datasets, _, groups = gen_concept_shift(spec)
-        tests = concept_shift_test_sets(spec, cfg.test_size)
+        datasets, betas, groups = gen_concept_shift(spec)
+        tests = concept_shift_test_sets(spec, betas, groups, cfg.test_size)
         params = [cfg.grid[gi]] * cfg.agents
     elif cfg.experiment == COVARIATE:
         k1, k2 = cfg.group_sizes

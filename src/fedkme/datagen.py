@@ -88,14 +88,14 @@ def gen_concept_shift(spec: ConceptShiftSpec) -> tuple[list[AgentDataset], list[
     return datasets, betas, groups
 
 
-def concept_shift_test_sets(spec: ConceptShiftSpec, n_test: int) -> list[AgentDataset]:
-    """Held-out sets from each agent's own law, on independent streams."""
-    beta_0 = rng.stream(spec.seed, _CONCEPT_SHARED).normal(size=spec.d)
-    sets = []
-    for k in range(spec.b):
-        beta, group = _concept_beta(spec, k, beta_0)
-        sets.append(_concept_sample(spec, k, beta, group, n_test, TEST))
-    return sets
+def concept_shift_test_sets(
+    spec: ConceptShiftSpec, betas: list[np.ndarray], groups: list[int], n_test: int
+) -> list[AgentDataset]:
+    """Held-out sets from each agent's own law, on independent streams.
+
+    ``betas`` and ``groups`` are the ones ``gen_concept_shift(spec)`` returned.
+    """
+    return [_concept_sample(spec, k, betas[k], groups[k], n_test, TEST) for k in range(spec.b)]
 
 
 @dataclass(frozen=True)

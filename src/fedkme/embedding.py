@@ -250,7 +250,8 @@ def trace_cov_hat(local: LocalFeatureSet) -> float:
         val = (float(np.trace(K)) - float(np.sum(K)) / n) / (n - 1)
         return _clamp_sq(val)
     centered = local.features - local.features.mean(axis=0)
-    return float(np.sum(centered * centered)) / (n - 1)
+    centered *= centered  # in place: one (n, D) temporary per call, not two
+    return float(np.sum(centered)) / (n - 1)
 
 
 def q_stat(local: LocalFeatureSet, nu_k: Embedding, nu_1: Embedding) -> float:

@@ -104,7 +104,7 @@ def test_concept_determinism_and_seed_sensitivity():
 def test_concept_test_sets_are_consistent_and_independent():
     spec = ConceptShiftSpec(sigma_c2=0.3, b=6, n_k=5, d=4, seed=13)
     train, betas, groups = gen_concept_shift(spec)
-    tests = concept_shift_test_sets(spec, n_test=7)
+    tests = concept_shift_test_sets(spec, betas, groups, n_test=7)
     assert len(tests) == 6
     for k, ts in enumerate(tests):
         assert ts.n == 7
@@ -114,6 +114,15 @@ def test_concept_test_sets_are_consistent_and_independent():
         assert np.all(np.isfinite(resid))
     # independence: fresh draws, not a prefix of the training sample
     assert not np.array_equal(tests[0].X[: train[0].n], train[0].X)
+
+
+def test_concept_test_sets_follow_each_agents_own_beta():
+    # with almost no label noise a test set's labels pin down the beta it was drawn with
+    spec = ConceptShiftSpec(sigma_c2=1.0, b=6, n_k=5, d=4, sigma_y2=1e-20, seed=14)
+    _, betas, groups = gen_concept_shift(spec)
+    for k, ts in enumerate(concept_shift_test_sets(spec, betas, groups, n_test=7)):
+        assert np.abs(ts.y - ts.X @ betas[k]).max() <= 1e-8
+        assert ts.group == groups[k]
 
 
 def test_covariate_spec_defaults_and_validation():

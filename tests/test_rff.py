@@ -1,4 +1,5 @@
-"""Random Fourier features: determinism, phase law, kernel expectation."""
+"""Random Fourier features: determinism, phase law, kernel expectation, and
+the half-angle cosine against the textbook map."""
 
 import math
 
@@ -119,3 +120,56 @@ def test_params_validation():
         RffParams(W=np.zeros((2, 3)), b=np.array([0.0, 7.0]), D=2, kernel=KERNEL3, seed=0)
     with pytest.raises(ValueError):
         RffParams(W=np.zeros((2, 3)), b=np.zeros(3), D=2, kernel=KERNEL3, seed=0)
+
+
+def _textbook(params, Z):
+    return np.sqrt(2.0 / params.D) * np.cos(Z @ params.W.T + params.b)
+
+
+def _odd_pi_params(D=600, d=3):
+    # at z = e_1, <w_s, z> = 2 pi k_s and b_s sits next to pi, so x/2 sits next
+    # to an odd multiple of pi/2 where |tan(x/2)| is largest (k_s = 0 puts it
+    # within an ulp of pi/2 itself)
+    g = np.random.default_rng(8)
+    k = g.integers(0, 10**6, size=D)
+    k[:6] = 0
+    W = np.zeros((D, d))
+    W[:, 0] = 2.0 * np.pi * k
+    b = np.pi + np.resize([0.0, 5e-16, -5e-16, 1e-12, -1e-12, 1e-9], D)
+    return RffParams(W=W, b=b, D=D, kernel=isotropic_gaussian_kernel(d), seed=0)
+
+
+def _wide_params(D, d, scale):
+    g = np.random.default_rng(9)
+    W = g.uniform(-scale, scale, size=(D, d))
+    W[0] = 0.0  # a zero-frequency row: the feature is the constant cos(b_0)
+    return RffParams(W=W, b=2.0 * np.pi * g.random(D), D=D, kernel=isotropic_gaussian_kernel(d), seed=0)
+
+
+_COVARIATE_WIDE = sample_rff(isotropic_gaussian_kernel(9), 2000, seed=1)
+
+
+@pytest.mark.parametrize("params, Z", [
+    (_COVARIATE_WIDE, np.random.default_rng(2).normal(size=(400, 9))),
+    (_COVARIATE_WIDE, np.random.default_rng(3).uniform(-6.0, 6.0, size=(397, 9))),  # a partial last block
+    (_odd_pi_params(), np.tile([1.0, 0.0, 0.0], (5, 1))),
+    (_wide_params(512, 4, 1e11), np.random.default_rng(4).uniform(-10.0, 10.0, size=(64, 4))),
+    (_wide_params(512, 4, 1.0), np.zeros((3, 4))),
+], ids=["gaussian", "uniform", "odd_pi", "huge_args", "zero_points"])
+def test_featurize_matrix_matches_the_textbook_cosine(params, Z):
+    bound = math.sqrt(2.0 / params.D)
+    F = featurize_matrix(params, Z)
+    assert F.shape == (Z.shape[0], params.D)
+    assert np.all(np.isfinite(F))
+    assert np.all(np.abs(F) <= bound)  # no slack
+    assert np.abs(F - _textbook(params, Z)).max() <= 4.5e-16 * bound
+
+
+def test_extreme_cases_reach_their_arguments():
+    params = _wide_params(512, 4, 1e11)
+    Z = np.random.default_rng(4).uniform(-10.0, 10.0, size=(64, 4))
+    assert np.abs(Z @ params.W.T + params.b).max() >= 1e12
+    params = _odd_pi_params()
+    x = params.W[:, 0] + params.b
+    assert np.abs(np.tan(0.5 * x)).min() >= 1e8
+    assert np.abs(np.tan(0.5 * x)).max() >= 1e15
