@@ -286,6 +286,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     need(cfg.steps >= 1, "qagg.steps must be at least 1")
     need(cfg.step_scale > 0, "qagg.step_scale must be positive")
     need(cfg.model_kind in ("ridge", "linear_gd", "logistic_gd"), f"unknown model.kind {cfg.model_kind!r}")
+    if cfg.model_kind == LOGISTIC_GD:
+        # the synthetic experiments draw real-valued targets, which are not classes
+        need(cfg.experiment == CUSTOM, "model.kind = logistic_gd needs class labels, so it runs only on custom data")
     need(cfg.ridge_penalty >= 0, "model.ridge_penalty must be non-negative")
     need(cfg.model_lr > 0, "model.learning_rate must be positive")
     need(cfg.model_epochs >= 1, "model.epochs must be at least 1")
@@ -326,7 +329,11 @@ def _resolve_qagg(cfg: ExperimentConfig, datasets: list[AgentDataset]):
 def _resolve_model(cfg: ExperimentConfig, datasets: list[AgentDataset]) -> ModelSpec:
     classes = 2
     if cfg.model_kind == LOGISTIC_GD:
-        top = max(int(np.max(ds.y)) for ds in datasets if ds.has_labels)
+        for k, ds in enumerate(datasets):
+            bad = ds.y[(ds.y < 0) | (ds.y != np.rint(ds.y))]
+            if bad.size:
+                raise ValueError(f"model.kind = logistic_gd needs labels 0, 1, 2, ...; agent {k} has label {bad[0]:g}")
+        top = max(int(np.max(ds.y)) for ds in datasets)
         classes = max(2, top + 1)
     return ModelSpec(
         kind=cfg.model_kind,

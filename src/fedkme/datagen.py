@@ -25,6 +25,7 @@ agent (or its held-out test set) is deterministic and order-independent.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,12 +251,14 @@ def load_csv_agents(path, schema: CsvSchema = CsvSchema()) -> dict[str, AgentDat
         feats, labels = by_agent.setdefault(agent, ([], []))
 
         def parse(j: int) -> float:
+            where = f"{path}: row {row_pos}, column {header[j]!r}"
             try:
-                return float(row[j])
+                value = float(row[j])
             except ValueError:
-                raise ValueError(
-                    f"{path}: row {row_pos}, column {header[j]!r}: non-numeric cell {row[j]!r}"
-                ) from None
+                raise ValueError(f"{where}: non-numeric cell {row[j]!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: non-finite cell {row[j]!r}")
+            return value
 
         feats.append([parse(j) for j in feature_idx])
         if label_idx is not None:

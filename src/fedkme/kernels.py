@@ -1,4 +1,4 @@
-"""Kernel specifications, pointwise evaluation, bounds, and spectral laws.
+"""Kernel specifications, bounds, and spectral laws.
 
 Two kernel families are supported:
 
@@ -86,33 +86,6 @@ def concept_shift_kernel(n_features: int) -> KernelSpec:
 def poly2_kernel(ambient_dim: int) -> KernelSpec:
     """Second-degree polynomial kernel (<z, z'> + 1)^2."""
     return KernelSpec(kind=POLY2, ambient_dim=int(ambient_dim))
-
-
-def eval_kernel(spec: KernelSpec, z, z2) -> float:
-    """Evaluate kappa(z, z2); symmetric in its arguments bit-for-bit."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    z2 = np.asarray(z2, dtype=float).reshape(-1)
-    if z.shape[0] != spec.ambient_dim or z2.shape[0] != spec.ambient_dim:
-        raise ValueError(
-            f"points of dim {z.shape[0]}/{z2.shape[0]} passed to kernel of dim {spec.ambient_dim}"
-        )
-    if spec.kind == GAUSSIAN:
-        delta = z - z2
-        return float(np.exp(-np.dot(spec.bandwidth_array * delta, delta)))
-    return float((np.dot(z, z2) + 1.0) ** 2)
-
-
-def gram_matrix(spec: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    """Matrix of kappa(z1_i, z2_j) for row sets Z1 (n1 x d) and Z2 (n2 x d)."""
-    Z1 = np.asarray(Z1, dtype=float)
-    Z2 = np.asarray(Z2, dtype=float)
-    if Z1.shape[1] != spec.ambient_dim or Z2.shape[1] != spec.ambient_dim:
-        raise ValueError("gram_matrix column count must equal ambient_dim")
-    if spec.kind == GAUSSIAN:
-        a = spec.bandwidth_array
-        diff = Z1[:, None, :] - Z2[None, :, :]
-        return np.exp(-np.einsum("ijk,k,ijk->ij", diff, a, diff))
-    return (Z1 @ Z2.T + 1.0) ** 2
 
 
 def kernel_bound(spec: KernelSpec, data: AgentDataset | Sequence[AgentDataset] | None = None) -> float:

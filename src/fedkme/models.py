@@ -103,28 +103,6 @@ def _unpack(theta: np.ndarray, spec: ModelSpec, d: int, status: str = "ok") -> F
     return FittedModel(coefficients=theta[:d], intercept=theta[d], spec=spec, status=status)
 
 
-def weighted_objective(spec: ModelSpec, w: np.ndarray, datasets: list[AgentDataset], theta: np.ndarray) -> float:
-    """J(theta) = sum_k w_k R_k(theta) + lam ||theta||^2."""
-    total = spec.lam * float(np.sum(theta * theta))
-    for wk, ds in zip(w, datasets):
-        if wk == 0.0:
-            continue
-        total += wk * _local_risk(spec, ds, theta)
-    return total
-
-
-def _local_risk(spec: ModelSpec, ds: AgentDataset, theta: np.ndarray) -> float:
-    Xd = _design(ds)
-    if spec.kind == LOGISTIC_GD:
-        logits = Xd @ theta
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-        picked = shifted[np.arange(ds.n), ds.y.astype(int)]
-        return float(np.mean(log_norm - picked))
-    resid = Xd @ theta - ds.y
-    return float(np.mean(resid * resid))
-
-
 def _local_gradient(spec: ModelSpec, ds: AgentDataset, theta: np.ndarray) -> np.ndarray:
     """Gradient of R_k alone (the lam term is added by the caller)."""
     Xd = _design(ds)

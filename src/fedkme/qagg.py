@@ -32,9 +32,7 @@ Every target's program shares the Gram matrix G_{kl} = <nu_k, nu_l>, and
 :func:`learn_weights` assembles G once and forms each target's
 A_t = G - G_t - G_t' + G_tt from it, target by target, so a target's weights
 are the same bits whether it is solved alone or with all the others.
-:func:`build_problem` and :func:`optimize` are the explicit one-target form
-and run the same solver; only they take exact-kernel embeddings, the
-reference form that :func:`learn_weights` refuses.
+:func:`build_problem` is the explicit one-target form of the same program.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EXACT, Embedding, LocalFeatureSet, as_feature_vector, kme_inner, q_stat, trace_cov_hat
+from .embedding import Embedding, LocalFeatureSet, as_feature_vector, q_stat, trace_cov_hat
 
 # relative to the scaled program, whose largest entry is 1
 _TOL = 1e-10
@@ -57,8 +55,8 @@ class QaggConfig:
     ``t`` caps the active-set steps of each solve; reaching it raises
     ``ArithmeticError``.  ``c`` has no effect on the exact solve; it is still
     validated so that configs which set it keep working.  ``target_index`` is
-    read only by :func:`build_problem`, and so by the :func:`optimize` of its
-    problem; :func:`learn_weights` takes its targets from ``locals_``.
+    read only by :func:`build_problem`; :func:`learn_weights` takes its
+    targets from ``locals_``.
     """
 
     c_q: float
@@ -183,13 +181,9 @@ def build_problem(embs: list[Embedding], local: LocalFeatureSet, cfg: QaggConfig
     if n_t < 2:
         raise ValueError("target agent needs at least two samples")
 
-    if all(e.kind != EXACT for e in embs):
-        V = np.stack([as_feature_vector(e) for e in embs])
-        diffs = V - V[t]
-        A = diffs @ diffs.T
-    else:
-        G = np.array([[kme_inner(ek, el) for el in embs] for ek in embs])
-        A = G - G[t, :][None, :] - G[:, t][:, None] + G[t, t]
+    V = np.stack([as_feature_vector(e) for e in embs])
+    diffs = V - V[t]
+    A = diffs @ diffs.T
     A = (A + A.T) / 2.0
     A[t, :] = 0.0
     A[:, t] = 0.0
@@ -281,11 +275,6 @@ def _solve(A: np.ndarray, b: np.ndarray, t: int, cap: int) -> np.ndarray:
     return w / w.sum()
 
 
-def optimize(problem: QaggProblem, cfg: QaggConfig) -> SimplexWeights:
-    """Minimize the quadratic form over the simplex, exactly."""
-    return SimplexWeights(_solve(problem.A, problem.b, problem.target_index, cfg.t))
-
-
 def _assemble(embs: list[Embedding], locals_: dict[int, LocalFeatureSet], cfg: QaggConfig):
     """The shared Gram matrix G and one row of b per target, in the order of ``locals_``."""
     V = np.stack([as_feature_vector(e) for e in embs])
@@ -320,8 +309,8 @@ def learn_weights(
     is assembled once and each target's program is formed from it and solved
     on its own, so a row does not depend on which other targets are asked for:
     asking for one target gives bit for bit the row that asking for all of
-    them gives.  Embeddings must be RFF or poly2 (exact ones raise
-    ``ValueError``), so no agent's raw data is read here.
+    them gives.  Embeddings and features are finite summaries, so no
+    agent's raw data is read here.
     """
     B = len(embs)
     if B < 1:

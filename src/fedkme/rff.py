@@ -69,15 +69,6 @@ def sample_rff(kernel: KernelSpec, D: int, seed: int) -> RffParams:
     return RffParams(W=W, b=b, D=int(D), kernel=kernel, seed=int(seed))
 
 
-def featurize(params: RffParams, z) -> np.ndarray:
-    """Map one point to its D-dimensional cosine feature vector."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != params.kernel.ambient_dim:
-        raise ValueError(f"point of dim {z.shape[0]} passed to RFF map of dim {params.kernel.ambient_dim}")
-    # single code path with featurize_matrix so the two agree bit-for-bit
-    return featurize_matrix(params, z[np.newaxis, :])[0]
-
-
 def featurize_matrix(params: RffParams, Z: np.ndarray) -> np.ndarray:
     """Row-wise feature map: (n, d) points to (n, D) features.
 

@@ -19,19 +19,14 @@ from fedkme.datagen import (
 from fedkme.embedding import (
     POLY2,
     embed,
-    kme_inner,
     local_features,
-    mmd2,
-    mmd2_mixture,
     poly2_lift,
-    poly2_population_embedding,
     q_stat,
     trace_cov_hat,
 )
 from fedkme.fedsim import ProtocolConfig, baseline_weights, run_protocol
 from fedkme.kernels import (
     KernelSpec,
-    gram_matrix,
     isotropic_gaussian_kernel,
     poly2_kernel,
 )
@@ -41,7 +36,6 @@ from fedkme.models import (
     fedavg,
     fit_weighted,
     weighted_gradient,
-    weighted_objective,
 )
 from fedkme.qagg import (
     QaggProblem,
@@ -50,9 +44,18 @@ from fedkme.qagg import (
     default_config,
     ones_config,
     operator_norm,
-    optimize,
 )
-from fedkme.rff import featurize, sample_rff
+from fedkme.rff import sample_rff
+from reference_kme import (
+    featurize,
+    gram_matrix,
+    kme_inner,
+    mmd2,
+    mmd2_mixture,
+    optimize,
+    poly2_population_embedding,
+    weighted_objective,
+)
 
 
 def _budget(t0: float, seconds: float) -> None:

@@ -429,6 +429,32 @@ def test_custom_run_rejects_test_agents_in_another_order(tmp_path, capsys):
     assert "same agent ids in the same order" in err
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    [dict(experiment="concept_shift"), dict(experiment="covariate_shift", group_sizes=(2, 2))],
+    ids=["concept_shift", "covariate_shift"],
+)
+def test_logistic_model_on_synthetic_targets_is_a_config_error(tmp_path, capsys, experiment):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(serialize_config(replace(TINY, model_kind="logistic_gd", **experiment)))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert "logistic_gd needs class labels" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_logistic_model_rejects_labels_that_are_not_classes(tmp_path, capsys):
+    # y.astype(int) would send -1 to the last class column, so both labels would train as class 1
+    _write_custom(tmp_path, [5, 6, 7])
+    for name in ("train.csv", "test.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        rows = [r.rsplit(",", 1)[0] + f",{(-1) ** i}" for i, r in enumerate(lines[1:])]
+        (tmp_path / name).write_text("\n".join([lines[0], *rows]) + "\n")
+    cfg_path = _custom_config(tmp_path, model_kind="logistic_gd")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert _read(tmp_path / "out" / "results.csv")[1:] == [["status", "-1", "0", "-1", "error"]]
+    assert "logistic_gd needs labels 0, 1, 2, ...; agent 0 has label -1" in capsys.readouterr().err
+
+
 def test_theory_preset_takes_n_from_the_loaded_data(tmp_path):
     # the config says 6 samples per agent; the files hold 40, and 40 is what counts
     _write_custom(tmp_path, [40, 40, 40], seed=3)

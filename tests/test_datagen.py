@@ -242,10 +242,13 @@ def test_load_csv_interleaved_agents(tmp_path):
 
 def test_load_csv_malformed_cell_names_row(tmp_path):
     path = tmp_path / "bad.csv"
-    lines = ["agent_id,x_1,y"] + [f"0,{i},{i}" for i in range(5)] + ["0,oops,9"]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="row 7"):
-        load_csv_agents(path)
+    cases = (("oops", "non-numeric"), ("nan", "non-finite"), ("inf", "non-finite"), ("-Infinity", "non-finite"))
+    for cell, kind in cases:
+        for bad_row, column in (([f"0,{cell},9"], "x_1"), ([f"0,9,{cell}"], "y")):
+            lines = ["agent_id,x_1,y"] + [f"0,{i},{i}" for i in range(5)] + bad_row
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=f"row 7, column '{column}': {kind} cell '{cell}'"):
+                load_csv_agents(path)
 
 
 def test_load_csv_missing_column(tmp_path):

@@ -2,8 +2,8 @@
 
 The poly2 closed forms are validated against the exact kernel double sum,
 the explicit feature lift, and hand arithmetic; the trace and directional
-variance statistics are validated against kernel-expansion oracles written
-out in plain numpy inside the tests.
+variance statistics are validated against kernel-expansion oracles, from
+``reference_kme`` or written out in plain numpy inside the tests.
 """
 
 import math
@@ -13,24 +13,32 @@ import pytest
 
 from fedkme.data import AgentDataset
 from fedkme.embedding import (
-    EXACT,
     POLY2,
     Embedding,
     LocalFeatureSet,
     as_feature_vector,
     embed,
     featurize_agent,
-    kme_inner,
     local_features,
-    mmd2,
-    mmd2_mixture,
     poly2_lift,
-    poly2_population_embedding,
     q_stat,
     trace_cov_hat,
 )
-from fedkme.kernels import eval_kernel, gram_matrix, isotropic_gaussian_kernel, poly2_kernel
-from fedkme.rff import featurize, featurize_matrix, sample_rff
+from fedkme.kernels import isotropic_gaussian_kernel, poly2_kernel
+from fedkme.rff import featurize_matrix, sample_rff
+from reference_kme import (
+    EXACT,
+    eval_kernel,
+    exact_embed,
+    featurize,
+    gram_matrix,
+    kernel_q_stat,
+    kernel_trace_cov_hat,
+    kme_inner,
+    mmd2,
+    mmd2_mixture,
+    poly2_population_embedding,
+)
 
 KERNEL2 = isotropic_gaussian_kernel(2)
 
@@ -81,7 +89,7 @@ def test_poly2_closed_form_equals_exact_double_sum():
     for _ in range(10):
         a, b = _dataset(g, 5, 2), _dataset(g, 5, 2)
         closed = kme_inner(embed(a, POLY2), embed(b, POLY2))
-        exact = kme_inner(embed(a, EXACT, kernel=kernel), embed(b, EXACT, kernel=kernel))
+        exact = kme_inner(exact_embed(a, kernel), exact_embed(b, kernel))
         assert closed == pytest.approx(exact, rel=1e-10)
 
 
@@ -96,8 +104,8 @@ def test_poly2_lift_reproduces_kernel_exactly():
 
 def test_single_point_exact_embeddings_give_kernel_value():
     z, z2 = np.array([[0.2, 0.4]]), np.array([[-1.0, 0.9]])
-    a = embed(AgentDataset(z), EXACT, kernel=KERNEL2)
-    b = embed(AgentDataset(z2), EXACT, kernel=KERNEL2)
+    a = exact_embed(AgentDataset(z), KERNEL2)
+    b = exact_embed(AgentDataset(z2), KERNEL2)
     assert kme_inner(a, b) == pytest.approx(eval_kernel(KERNEL2, z[0], z2[0]), rel=1e-14)
 
 
@@ -133,12 +141,12 @@ def test_mixture_bilinear_expansion_matches_direct_norm():
 
 
 def test_trace_zero_for_identical_features():
-    local = LocalFeatureSet(kind=POLY2, features=np.ones((4, 3)), kernel=poly2_kernel(1))
+    local = LocalFeatureSet(kind=POLY2, features=np.ones((4, 3)))
     assert trace_cov_hat(local) == 0.0
 
 
 def test_trace_hand_value_two_scalar_features():
-    local = LocalFeatureSet(kind=POLY2, features=np.array([[0.0], [2.0]]), kernel=poly2_kernel(1))
+    local = LocalFeatureSet(kind=POLY2, features=np.array([[0.0], [2.0]]))
     assert trace_cov_hat(local) == pytest.approx(2.0)
 
 
@@ -167,7 +175,7 @@ def test_trace_exact_mode_equals_lifted_feature_form():
     g = np.random.default_rng(12)
     ds = _dataset(g, 6, 2)
     kernel = poly2_kernel(2)
-    exact = trace_cov_hat(local_features(ds, EXACT, kernel=kernel))
+    exact = kernel_trace_cov_hat(exact_embed(ds, kernel))
     lifted = trace_cov_hat(local_features(ds, POLY2))
     assert exact == pytest.approx(lifted, rel=1e-10)
 
@@ -181,7 +189,7 @@ def test_q_stat_zero_when_embeddings_coincide():
 
 
 def test_q_stat_zero_for_constant_features():
-    local = LocalFeatureSet(kind=POLY2, features=poly2_lift(np.ones((4, 1))), kernel=poly2_kernel(1))
+    local = LocalFeatureSet(kind=POLY2, features=poly2_lift(np.ones((4, 1))))
     a = Embedding(kind=POLY2, n=4, kernel=poly2_kernel(1), mean=np.array([0.5]), second_moment=np.array([[0.5]]))
     b = Embedding(kind=POLY2, n=4, kernel=poly2_kernel(1), mean=np.array([0.1]), second_moment=np.array([[0.4]]))
     assert q_stat(local, a, b) == 0.0
@@ -206,11 +214,7 @@ def test_q_stat_exact_kernel_expansion_matches_feature_form():
     feature_form = q_stat(
         local_features(ds, POLY2), embed(other, POLY2), embed(ds, POLY2)
     )
-    kernel_form = q_stat(
-        local_features(ds, EXACT, kernel=kernel),
-        embed(other, EXACT, kernel=kernel),
-        embed(ds, EXACT, kernel=kernel),
-    )
+    kernel_form = kernel_q_stat(exact_embed(ds, kernel), exact_embed(other, kernel), exact_embed(ds, kernel))
     assert kernel_form == pytest.approx(feature_form, rel=1e-10)
 
 
@@ -231,9 +235,9 @@ def test_cauchy_schwarz_across_representations():
     g = np.random.default_rng(18)
     params = sample_rff(KERNEL2, 16, seed=8)
     kernel = poly2_kernel(2)
-    for mode, kw in ((params, {}), (POLY2, {}), (EXACT, {"kernel": kernel})):
-        a = embed(_dataset(g, 4, 2), mode, **kw)
-        b = embed(_dataset(g, 6, 2), mode, **kw)
+    for make in (lambda ds: embed(ds, params), lambda ds: embed(ds, POLY2), lambda ds: exact_embed(ds, kernel)):
+        a = make(_dataset(g, 4, 2))
+        b = make(_dataset(g, 6, 2))
         assert kme_inner(a, b) ** 2 <= kme_inner(a, a) * kme_inner(b, b) + 1e-12
 
 
@@ -276,30 +280,37 @@ def test_featurize_agent_matches_embed_and_local_features_bit_for_bit():
     X, y = g.normal(size=(7, 2)), g.normal(size=7)
     ds = AgentDataset(X, y)
     cases = (
-        (sample_rff(isotropic_gaussian_kernel(3), 24, seed=8), "full", None),
-        (sample_rff(KERNEL2, 24, seed=9), "features", None),
-        (POLY2, "full", None),
-        (POLY2, "features", None),
-        (EXACT, "full", isotropic_gaussian_kernel(3)),
+        (sample_rff(isotropic_gaussian_kernel(3), 24, seed=8), "full"),
+        (sample_rff(KERNEL2, 24, seed=9), "features"),
+        (POLY2, "full"),
+        (POLY2, "features"),
     )
-    for mode, scope, kernel in cases:
+    for mode, scope in cases:
         Z = np.column_stack([X, y]) if scope == "full" else X
-        emb, local = featurize_agent(ds, mode, scope, kernel, with_features=True)
-        ref_emb = embed(ds, mode, scope=scope, kernel=kernel)
-        ref_local = local_features(ds, mode, scope=scope, kernel=kernel)
-        assert (emb.kind, emb.n, emb.kernel, emb.scope) == (ref_emb.kind, ref_emb.n, ref_emb.kernel, ref_emb.scope)
-        assert (local.kind, local.kernel) == (ref_local.kind, ref_local.kernel)
+        emb, local = featurize_agent(ds, mode, scope, with_features=True)
+        ref_emb = embed(ds, mode, scope=scope)
+        ref_local = local_features(ds, mode, scope=scope)
+        assert (emb.kind, emb.n, emb.kernel) == (ref_emb.kind, ref_emb.n, ref_emb.kernel)
+        assert local.kind == ref_local.kind
         assert np.array_equal(local.features, ref_local.features)
         if mode == POLY2:
             assert np.array_equal(emb.mean, ref_emb.mean) and np.array_equal(emb.mean, Z.mean(axis=0))
             assert np.array_equal(emb.second_moment, ref_emb.second_moment)
             assert np.array_equal(emb.second_moment, Z.T @ Z / Z.shape[0])
             assert np.array_equal(local.features, poly2_lift(Z))
-        elif mode == EXACT:
-            assert emb.data is ds and ref_emb.data is ds
-            assert np.array_equal(local.features, Z)
         else:
             F = featurize_matrix(mode, Z)
             assert np.array_equal(emb.v, ref_emb.v) and np.array_equal(emb.v, F.mean(axis=0))
             assert np.array_equal(local.features, F)
-        assert featurize_agent(ds, mode, scope, kernel)[1] is None
+        assert featurize_agent(ds, mode, scope)[1] is None
+    # the exact kernel is a test oracle (reference_kme), not a protocol mode
+    with pytest.raises(ValueError, match="unknown embedding mode"):
+        featurize_agent(ds, EXACT)
+
+
+def test_embedding_and_local_features_reject_other_kinds():
+    for kind in (EXACT, "RFF", "poly3", ""):
+        with pytest.raises(ValueError, match="unknown embedding kind"):
+            Embedding(kind=kind, n=2, kernel=KERNEL2, v=np.zeros(8))
+        with pytest.raises(ValueError, match="unknown feature kind"):
+            LocalFeatureSet(kind=kind, features=np.zeros((2, 8)))

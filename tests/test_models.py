@@ -18,9 +18,9 @@ from fedkme.models import (
     fedavg,
     fit_weighted,
     weighted_gradient,
-    weighted_objective,
 )
 from fedkme.qagg import SimplexWeights
+from reference_kme import weighted_objective
 
 
 def _regression_agents(seed, B=3, n=30, d=4):

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedkme import qagg
-from fedkme.data import AgentDataset, audit_raw_access
-from fedkme.embedding import EXACT, POLY2, embed, local_features
-from fedkme.kernels import isotropic_gaussian_kernel
+from fedkme.data import AgentDataset
+from fedkme.embedding import POLY2, embed, local_features
+from fedkme.kernels import isotropic_gaussian_kernel, poly2_kernel
 from fedkme.qagg import (
     QaggConfig,
     QaggProblem,
@@ -22,11 +22,11 @@ from fedkme.qagg import (
     learn_weights,
     ones_config,
     operator_norm,
-    optimize,
     theory_config,
     weights_matrix,
 )
 from fedkme.rff import sample_rff
+from reference_kme import exact_embed, kernel_problem, optimize
 
 KERNEL2 = isotropic_gaussian_kernel(2)
 
@@ -137,6 +137,22 @@ def test_objective_matches_direct_penalized_formula():
         p_hat = cfg.m / n * float(np.sum(w[1:] * np.linalg.norm(V[1:] - nu1, axis=1)))
         direct = l_hat + cfg.c_q * q_hat + cfg.c_p * p_hat
         assert problem.objective(w) == pytest.approx(direct, rel=1e-10)
+
+
+def test_build_problem_matches_the_kernel_expansion():
+    # under the poly2 kernel the lifted feature form and the exact kernel
+    # expansion are the same program, written two ways
+    g = np.random.default_rng(16)
+    datasets = [AgentDataset(g.normal(loc=g.normal(), size=(n, 2))) for n in (5, 7, 4, 6)]
+    embs = [embed(ds, POLY2) for ds in datasets]
+    exact = [exact_embed(ds, poly2_kernel(2)) for ds in datasets]
+    for t in range(len(datasets)):
+        cfg = replace(QaggConfig(c_q=0.8, c_p=1.7, m=3.0), target_index=t)
+        feature_form = build_problem(embs, local_features(datasets[t], POLY2), cfg)
+        kernel_form = kernel_problem(exact, exact[t], cfg)
+        scale = float(np.abs(feature_form.A).max())
+        np.testing.assert_allclose(kernel_form.A, feature_form.A, rtol=0.0, atol=1e-10 * scale)
+        np.testing.assert_allclose(kernel_form.b, feature_form.b, rtol=1e-8)
 
 
 def test_build_problem_needs_two_target_samples():
@@ -426,18 +442,6 @@ def test_learn_weights_degenerate_rows_in_one_batch():
     flat_row, varied_row = learn_weights(embs, {1: flat, 3: varied}, ones_config())
     np.testing.assert_array_equal(flat_row.w, np.full(B, 1.0 / B))
     assert varied_row.w[3] < 1.0 / B
-
-
-def test_learn_weights_rejects_exact_embeddings():
-    # exact embeddings are build_problem's reference form; the batched learner
-    # refuses them before it reads any agent's sample
-    g = np.random.default_rng(15)
-    datasets = [AgentDataset(g.normal(size=(4, 2))) for _ in range(3)]
-    embs = [embed(ds, EXACT, kernel=KERNEL2) for ds in datasets]
-    locals_ = {0: local_features(datasets[0], EXACT, kernel=KERNEL2)}
-    with audit_raw_access() as log, pytest.raises(ValueError, match="exact embeddings"):
-        learn_weights(embs, locals_, ones_config())
-    assert log == []
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0 at the target entry

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from fedkme.data import AgentDataset
-from fedkme.embedding import EXACT, local_features, trace_cov_hat
-from fedkme.kernels import eval_kernel, isotropic_gaussian_kernel, poly2_kernel
-from fedkme.rff import RffParams, featurize, featurize_matrix, sample_rff
+from fedkme.embedding import local_features, trace_cov_hat
+from fedkme.kernels import isotropic_gaussian_kernel, poly2_kernel
+from fedkme.rff import RffParams, featurize_matrix, sample_rff
+from reference_kme import eval_kernel, exact_embed, featurize, kernel_trace_cov_hat
 
 KERNEL3 = isotropic_gaussian_kernel(3)
 
@@ -106,7 +107,7 @@ def test_average_rff_trace_matches_kernel_trace():
     g = np.random.default_rng(4)
     ds = AgentDataset(g.normal(size=(6, 2)))
     kernel = isotropic_gaussian_kernel(2)
-    exact = trace_cov_hat(local_features(ds, EXACT, kernel=kernel))
+    exact = kernel_trace_cov_hat(exact_embed(ds, kernel))
     draws = np.array([
         trace_cov_hat(local_features(ds, sample_rff(kernel, 64, seed=s)))
         for s in range(200)
