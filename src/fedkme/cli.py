@@ -344,6 +344,17 @@ def _resolve_model(cfg: ExperimentConfig, datasets: list[AgentDataset]) -> Model
     )
 
 
+def _check_test_labels(cfg: ExperimentConfig, tests: list[AgentDataset], classes: int) -> None:
+    """Accuracy scores a test label as a class index, so each must be one of 0, ..., classes - 1."""
+    for k, ds in enumerate(tests):
+        bad = ds.y[(ds.y < 0) | (ds.y >= classes) | (ds.y != np.rint(ds.y))]
+        if bad.size:
+            raise ConfigError(
+                f"model.kind = logistic_gd scores test labels as classes 0 to {classes - 1}; "
+                f"agent {k} of {cfg.test_path} has label {bad[0]:g}"
+            )
+
+
 def _protocol_config(cfg: ExperimentConfig, datasets: list[AgentDataset], seed: int) -> ProtocolConfig:
     return ProtocolConfig(
         kernel=_resolve_kernel(cfg, datasets[0].dim),
@@ -439,6 +450,8 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
     else:
         data, wrows, ledger = _build_data(cfg, gi, rep), None, None
         model_spec = _resolve_model(cfg, data.datasets)
+    if metric == ACCURACY:
+        _check_test_labels(cfg, data.tests, model_spec.classes)
 
     # (method, target, fit key) of every results.csv row, and each path's distinct rows
     entries: list[tuple[str, int, tuple[str, bytes]]] = []

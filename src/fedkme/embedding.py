@@ -62,17 +62,27 @@ class Embedding:
 
 @dataclass(frozen=True, eq=False)
 class LocalFeatureSet:
-    """The target agent's per-point features Phi_i."""
+    """The target agent's per-point features Phi_i and their mean, formed once.
+
+    ``mean`` defaults to ``features.mean(axis=0)``; :func:`featurize_agent`
+    passes the RFF embedding vector, which is that same mean.
+    """
 
     kind: str
     features: np.ndarray
+    mean: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in (RFF, POLY2):
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
+        if self.mean is None:
+            object.__setattr__(self, "mean", self.features.mean(axis=0))
+        if self.mean.shape != self.features.shape[1:]:
+            raise ValueError(f"feature mean of shape {self.mean.shape} does not match features {self.features.shape}")
         self.features.setflags(write=False)
+        self.mean.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -105,7 +115,7 @@ def as_feature_vector(emb: Embedding) -> np.ndarray:
 
 
 def featurize_agent(
-    dataset: AgentDataset, mode, scope: str = "full", with_features: bool = False,
+    dataset: AgentDataset, mode, scope: str = "full", with_features: bool = False, out: np.ndarray | None = None,
 ) -> tuple[Embedding, LocalFeatureSet | None]:
     """One agent's empirical KME and, if ``with_features``, its per-point features, from one read of its sample.
 
@@ -120,13 +130,17 @@ def featurize_agent(
             (requires a labeled dataset).
         with_features: also return the :class:`LocalFeatureSet`; otherwise
             the second element is None.
+        out: C-contiguous (n, D) rows that receive the RFF feature matrix,
+            as for :func:`featurize_matrix`; RFF mode only.
     """
     if scope == "features" and not dataset.has_labels:
         raise ValueError("scope='features' requires a dataset with a label column")
     Z = dataset.z(scope)
     if isinstance(mode, RffParams):
-        F = featurize_matrix(mode, Z)
+        F = featurize_matrix(mode, Z, out=out)
         emb = Embedding(kind=RFF, n=dataset.n, kernel=mode.kernel, v=F.mean(axis=0))
+    elif out is not None:
+        raise ValueError("out receives RFF features only")
     elif mode == POLY2:
         emb = Embedding(
             kind=POLY2, n=dataset.n, kernel=poly2_kernel(Z.shape[1]),
@@ -135,7 +149,7 @@ def featurize_agent(
         F = poly2_lift(Z) if with_features else None
     else:
         raise ValueError(f"unknown embedding mode {mode!r}")
-    local = LocalFeatureSet(kind=emb.kind, features=F) if with_features else None
+    local = LocalFeatureSet(kind=emb.kind, features=F, mean=emb.v) if with_features else None
     return emb, local
 
 
@@ -149,13 +163,17 @@ def local_features(dataset: AgentDataset, mode, scope: str = "full") -> LocalFea
     return featurize_agent(dataset, mode, scope, with_features=True)[1]
 
 
-def trace_cov_hat(local: LocalFeatureSet) -> float:
-    """Unbiased empirical covariance trace tr Sigma_hat = (1/(n-1)) sum_i ||Phi_i - mean||^2."""
+def trace_cov_hat(local: LocalFeatureSet, out: np.ndarray | None = None) -> float:
+    """Unbiased empirical covariance trace tr Sigma_hat = (1/(n-1)) sum_i ||Phi_i - mean||^2.
+
+    The centred squares go to ``out``, a C-contiguous array shaped like the
+    features, if one is given, so a caller can reuse one scratch array.
+    """
     n = local.n
     if n < 2:
         raise ValueError("covariance trace needs at least two samples")
-    centered = local.features - local.features.mean(axis=0)
-    centered *= centered  # in place: one (n, D) temporary per call, not two
+    centered = np.subtract(local.features, local.mean, out=out)
+    centered *= centered  # in place: no second (n, D) temporary
     return float(np.sum(centered)) / (n - 1)
 
 

@@ -133,13 +133,27 @@ def _weight_cfg(cfg: ProtocolConfig, mode, datasets) -> QaggConfig:
     return replace(cfg.qagg, m=kernel_bound(cfg.kernel, datasets))
 
 
+def _target_rows(mode, datasets: list[AgentDataset], targets: list[int]) -> dict[int, np.ndarray]:
+    """Each target's row range of one (sum of n_t, D) block that holds every target's RFF features.
+
+    One allocation per job instead of one per target; empty on the poly2 path.
+    """
+    if not isinstance(mode, RffParams):
+        return {}
+    sizes = [datasets[t].n for t in targets]
+    block = np.empty((sum(sizes), mode.D))
+    ends = np.cumsum(sizes)
+    return {t: block[end - n:end] for t, n, end in zip(targets, sizes, ends)}
+
+
 def _learn(
     cfg: ProtocolConfig, datasets: list[AgentDataset], targets: list[int],
 ) -> tuple[list[SimplexWeights], CommLedger]:
     """Protocol steps 1-5 for the given targets: one weight row per target, in order.
 
     Each agent featurizes its sample once: the mean is its embedding, and a
-    target keeps the matrix, before the raw-data audit window opens.
+    target keeps the matrix, in its rows of one shared block, before the
+    raw-data audit window opens.
     """
     B = len(datasets)
     if B < 1:
@@ -154,8 +168,12 @@ def _learn(
     mode = sample_rff(cfg.kernel, cfg.d_rff, cfg.seed) if cfg.kernel.kind == GAUSSIAN else POLY2
     _charge_gamma(ledger, cfg, mode, B)
     # a target's per-point features are its own local computation
+    feature_rows = _target_rows(mode, datasets, targets)
     kept = set(targets)
-    pairs = [featurize_agent(ds, mode, cfg.embedding_scope, with_features=k in kept) for k, ds in enumerate(datasets)]
+    pairs = [
+        featurize_agent(ds, mode, cfg.embedding_scope, with_features=k in kept, out=feature_rows.get(k))
+        for k, ds in enumerate(datasets)
+    ]
     embeddings = [emb for emb, _ in pairs]
     locals_ = {t: pairs[t][1] for t in targets}
     for k, emb in enumerate(embeddings):

@@ -203,6 +203,21 @@ def build_problem(embs: list[Embedding], local: LocalFeatureSet, cfg: QaggConfig
     )
 
 
+def _kkt(buf, H, E, S):
+    """KKT matrix [[2 H_SS, E_S'], [E_S, 0]] of the support ``S``, written into the head of ``buf``.
+
+    ``buf`` is a flat float array of at least (len(H) + len(E))^2 entries,
+    reused across the steps of one solve; the matrix is a contiguous view of it.
+    """
+    m, size = S.size, S.size + E.shape[0]
+    K = buf[:size * size].reshape(size, size)
+    np.multiply(H[S[:, None], S], 2.0, out=K[:m, :m])
+    K[:m, m:] = E[:, S].T
+    K[m:, :m] = E[:, S]
+    K[m:, m:] = 0.0
+    return K
+
+
 def _active_set(H, c, E, w, support, free, cap):
     """Primal active-set method for min w'Hw + <c, w> over {w >= 0, E w = E w0, w_k = 0 off ``free``}.
 
@@ -219,12 +234,11 @@ def _active_set(H, c, E, w, support, free, cap):
     w = w.copy()
     e = E @ w
     support = list(support)
-    n_eq = E.shape[0]
+    buf = np.empty((H.shape[0] + E.shape[0]) ** 2)
     for _ in range(cap):
         S = np.array(support)
         m = S.size
-        K = np.block([[2.0 * H[np.ix_(S, S)], E[:, S].T], [E[:, S], np.zeros((n_eq, n_eq))]])
-        lam, Q = np.linalg.eigh(K)
+        lam, Q = np.linalg.eigh(_kkt(buf, H, E, S))
         null = np.abs(lam) <= _TOL * np.abs(lam).max()
         coef = Q.T @ np.concatenate([-c[S], e])
         x = Q[:, ~null] @ (coef[~null] / lam[~null])
@@ -285,6 +299,8 @@ def _assemble(embs: list[Embedding], locals_: dict[int, LocalFeatureSet], cfg: Q
     G = (G + G.T) / 2.0
 
     b = np.empty((len(locals_), len(embs)))
+    # one scratch array holds every target's centred squares in turn
+    scratch = np.empty((max((local.n for local in locals_.values()), default=0), V.shape[1]))
     for r, (t, local) in enumerate(locals_.items()):
         n = local.n
         # from the differences, not G_kk - 2 G_kt + G_tt: a duplicate of the
@@ -295,7 +311,7 @@ def _assemble(embs: list[Embedding], locals_: dict[int, LocalFeatureSet], cfg: Q
         proj -= proj.mean(axis=0)
         q = (proj * proj).sum(axis=0) / (n - 1)
         b[r] = cfg.c_q * np.sqrt(q) / math.sqrt(n) + cfg.c_p * cfg.m * dist / n
-        b[r, t] = 2.0 * trace_cov_hat(local) / n
+        b[r, t] = 2.0 * trace_cov_hat(local, out=scratch[:n]) / n
     return G, b
 
 

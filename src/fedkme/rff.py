@@ -69,26 +69,32 @@ def sample_rff(kernel: KernelSpec, D: int, seed: int) -> RffParams:
     return RffParams(W=W, b=b, D=int(D), kernel=kernel, seed=int(seed))
 
 
-def featurize_matrix(params: RffParams, Z: np.ndarray) -> np.ndarray:
+def featurize_matrix(params: RffParams, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise feature map: (n, d) points to (n, D) features.
 
     The cosine is the half-angle form of the module docstring, computed in
     place on the one (n, D) result, a cache-sized block of rows at a time.
-    Its speed rests on numpy's SIMD ``tan``.
+    Its speed rests on numpy's SIMD ``tan``.  ``out``, a C-contiguous
+    (n, D) float array such as a row range of a larger block, receives the
+    features and is returned; the bits do not depend on whether it is given.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != params.kernel.ambient_dim:
         raise ValueError(f"expected (n, {params.kernel.ambient_dim}) points, got shape {Z.shape}")
+    shape = (Z.shape[0], params.D)
+    if out is not None and (out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     # halving W and b halves every rounded product and sum exactly, so T
     # holds x/2 for the same x = <w_s, z> + b_s as the textbook map
-    T = Z @ (0.5 * params.W).T
-    T += 0.5 * params.b
+    T = np.matmul(Z, (0.5 * params.W).T, out=out)
+    half_b = 0.5 * params.b
     scale = np.sqrt(2.0 / params.D)
     rows = max(1, _BLOCK // params.D)
     den = np.empty((min(rows, T.shape[0]), params.D))
     for lo in range(0, T.shape[0], rows):
         t = T[lo:lo + rows]
         d = den[:t.shape[0]]
+        t += half_b
         np.tan(t, out=t)
         np.square(t, out=t)
         np.add(t, 1.0, out=d)

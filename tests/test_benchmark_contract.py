@@ -47,8 +47,12 @@ def test_workload_weights_solve_perfbench_programs(name, tmp_path, monkeypatch):
         assert (out / f"{key}.csv").read_bytes() == reference[key].read_bytes(), key
 
 
-def _textbook_featurize(params, Z):
-    return np.sqrt(2.0 / params.D) * np.cos(np.asarray(Z, dtype=float) @ params.W.T + params.b)
+def _textbook_featurize(params, Z, out=None):
+    F = np.sqrt(2.0 / params.D) * np.cos(np.asarray(Z, dtype=float) @ params.W.T + params.b)
+    if out is None:
+        return F
+    out[...] = F
+    return out
 
 
 # n_k = 30 at sigma_c2 = 0 is where README's "When the weights borrow" shows pooling

@@ -455,6 +455,25 @@ def test_logistic_model_rejects_labels_that_are_not_classes(tmp_path, capsys):
     assert "logistic_gd needs labels 0, 1, 2, ...; agent 0 has label -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", [-1.0, 2.0, 0.5])
+def test_logistic_model_rejects_test_labels_that_are_not_classes(tmp_path, capsys, label):
+    # training labels 0 and 1 make two classes; accuracy compares y.astype(int)
+    # with the predicted class, so these test labels would score silently wrong
+    _write_custom(tmp_path, [5, 6, 7])
+    for name in ("train.csv", "test.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        rows = [r.rsplit(",", 1)[0] + f",{i % 2}" for i, r in enumerate(lines[1:])]
+        if name == "test.csv":
+            rows[7] = rows[7].rsplit(",", 1)[0] + f",{label:g}"  # a row of agent 1
+        (tmp_path / name).write_text("\n".join([lines[0], *rows]) + "\n")
+    cfg_path = _custom_config(tmp_path, model_kind="logistic_gd")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert _read(tmp_path / "out" / "results.csv")[1:] == [["status", "-1", "0", "-1", "error"]]
+    err = capsys.readouterr().err
+    assert f"ConfigError: model.kind = logistic_gd scores test labels as classes 0 to 1; " \
+        f"agent 1 of {tmp_path / 'test.csv'} has label {label:g}" in err
+
+
 def test_theory_preset_takes_n_from_the_loaded_data(tmp_path):
     # the config says 6 samples per agent; the files hold 40, and 40 is what counts
     _write_custom(tmp_path, [40, 40, 40], seed=3)

@@ -150,6 +150,36 @@ def test_trace_hand_value_two_scalar_features():
     assert trace_cov_hat(local) == pytest.approx(2.0)
 
 
+def test_trace_is_the_sum_of_centred_squares_bit_for_bit():
+    g = np.random.default_rng(23)
+    ds = _dataset(g, 9, 2)
+    for local in (
+        local_features(ds, sample_rff(KERNEL2, 40, seed=3)),
+        local_features(ds, POLY2),
+        LocalFeatureSet(kind=POLY2, features=g.normal(size=(7, 5))),
+    ):
+        F = local.features
+        n = F.shape[0]
+        want = float(np.sum((F - F.mean(axis=0)) ** 2)) / (n - 1)
+        assert trace_cov_hat(local) == want
+        scratch = np.full((n + 2, F.shape[1]), np.nan)
+        assert trace_cov_hat(local, out=scratch[:n]) == want
+
+
+def test_local_feature_mean_is_formed_once():
+    g = np.random.default_rng(24)
+    ds = _dataset(g, 6, 2)
+    emb, local = featurize_agent(ds, sample_rff(KERNEL2, 24, seed=2), with_features=True)
+    assert local.mean is emb.v  # the RFF embedding is the feature mean
+    for local in (local_features(ds, POLY2), LocalFeatureSet(kind=POLY2, features=g.normal(size=(4, 3)))):
+        assert np.array_equal(local.mean, local.features.mean(axis=0))
+        assert not local.mean.flags.writeable
+    with pytest.raises(ValueError, match="feature mean"):
+        LocalFeatureSet(kind=POLY2, features=np.zeros((4, 3)), mean=np.zeros(2))
+    with pytest.raises(ValueError, match="RFF features only"):
+        featurize_agent(ds, POLY2, with_features=True, out=np.empty((6, 10)))
+
+
 def test_trace_needs_two_samples():
     ds = AgentDataset(np.zeros((1, 2)))
     with pytest.raises(ValueError):

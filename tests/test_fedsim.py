@@ -27,7 +27,7 @@ from fedkme.fedsim import (
 from fedkme.kernels import concept_shift_kernel, isotropic_gaussian_kernel, kernel_bound, poly2_kernel
 from fedkme.models import ModelSpec
 from fedkme.qagg import build_problem, default_config, learn_weights, ones_config
-from fedkme.rff import sample_rff
+from fedkme.rff import featurize_matrix, sample_rff
 
 
 def _agents(seed, B=5, n=8, d=2, shift=0.0):
@@ -341,9 +341,9 @@ def test_each_agent_is_featurized_once(monkeypatch):
     calls = []
     real = embedding.featurize_matrix
 
-    def counting(params, Z):
+    def counting(params, Z, out=None):
         calls.append(Z.shape[0])
-        return real(params, Z)
+        return real(params, Z, out=out)
 
     monkeypatch.setattr(embedding, "featurize_matrix", counting)
     run_protocol_all(_cfg(), datasets)
@@ -351,6 +351,30 @@ def test_each_agent_is_featurized_once(monkeypatch):
     calls.clear()
     run_protocol(_cfg(), datasets, target=2)
     assert calls == [ds.n for ds in datasets]
+
+
+def test_targets_keep_their_features_in_one_read_only_block(monkeypatch):
+    datasets = [AgentDataset(ds.X[: 5 + 2 * k], ds.y[: 5 + 2 * k]) for k, ds in enumerate(_agents(15, B=4, n=12))]
+    cfg = _cfg(D=48, seed=2)
+    params = sample_rff(cfg.kernel, cfg.d_rff, cfg.seed)
+    seen = []
+    real = fedsim.learn_weights
+
+    def capture(embs, locals_, qcfg):
+        seen.append(locals_)
+        return real(embs, locals_, qcfg)
+
+    monkeypatch.setattr(fedsim, "learn_weights", capture)
+    run_protocol_all(cfg, datasets)
+    run_protocol(cfg, datasets, target=2)
+    assert [list(locals_) for locals_ in seen] == [[0, 1, 2, 3], [2]]
+    for locals_ in seen:
+        block = next(iter(locals_.values())).features.base
+        assert block.shape == (sum(datasets[t].n for t in locals_), cfg.d_rff)
+        for t, local in locals_.items():
+            assert local.features.base is block
+            assert not local.features.flags.writeable
+            assert np.array_equal(local.features, featurize_matrix(params, datasets[t].z("full")))
 
 
 def test_run_protocol_all_matches_learn_weights_on_embed_and_local_features():

@@ -237,6 +237,11 @@ def test_nonfinite_gradient_raises():
         optimize(problem, ones_config())
 
 
+def _kkt_block(H, E, S):
+    """KKT matrix [[2 H_SS, E_S'], [E_S, 0]] of a support, assembled by ``np.block``."""
+    return np.block([[2.0 * H[np.ix_(S, S)], E[:, S].T], [E[:, S], np.zeros((E.shape[0], E.shape[0]))]])
+
+
 def _support_oracle(A, b):
     """Least objective over the simplex, by brute force over supports.
 
@@ -250,7 +255,7 @@ def _support_oracle(A, b):
     best = math.inf
     for size in range(1, B + 1):
         for S in map(list, itertools.combinations(range(B), size)):
-            K = np.block([[2.0 * A[np.ix_(S, S)], np.ones((size, 1))], [np.ones((1, size)), np.zeros((1, 1))]])
+            K = _kkt_block(A, np.ones((1, B)), S)
             rhs = np.concatenate([-b[S], [1.0]])
             x = np.linalg.lstsq(K, rhs, rcond=None)[0]
             if np.abs(K @ x - rhs).max() > 1e-9 * np.abs(rhs).max() or x[:size].min() < 0.0:
@@ -259,6 +264,56 @@ def _support_oracle(A, b):
             w[S] = x[:size]
             best = min(best, float(w @ A @ w + b @ w))
     return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(B=st.integers(1, 6), n_eq=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_kkt_matrix_is_the_np_block_form_bit_for_bit(B, n_eq, seed, data):
+    g = np.random.default_rng(seed)
+    H, E = g.normal(size=(B, B)), g.normal(size=(n_eq, B))
+    S = np.array(data.draw(st.lists(st.integers(0, B - 1), min_size=1, max_size=B, unique=True), label="S"))
+    buf = np.full((B + n_eq) ** 2, np.nan)
+    K = qagg._kkt(buf, H, E, S)
+    assert K.flags.c_contiguous and np.shares_memory(K, buf)
+    assert np.array_equal(K, _kkt_block(H, E, S))
+
+
+def test_active_set_is_bit_identical_with_the_np_block_kkt(monkeypatch):
+    # random PSD programs with a duplicated agent, from random starting
+    # supports, so both active-set calls of a solve take several steps
+    g = np.random.default_rng(31)
+    cases = []
+    for _ in range(40):
+        B = int(g.integers(2, 8))
+        t = int(g.integers(B))
+        root = g.normal(size=(B, int(g.integers(1, B + 1))))
+        b = np.abs(g.normal(size=B))
+        twin, of = g.choice([k for k in range(B) if k != t] + [t], size=2)
+        root[twin], b[twin] = root[of], b[of]
+        A = root @ root.T
+        A[t, :] = 0.0
+        A[:, t] = 0.0
+        b[t] = b.max()
+        support = sorted(g.choice(B, size=int(g.integers(1, B + 1)), replace=False).tolist())
+        start = np.zeros(B)
+        start[support] = 1.0 / len(support)
+        cases.append((A, b, t, support, start))
+
+    def run():
+        out = []
+        for A, b, t, support, start in cases:
+            B = b.size
+            out.append(qagg._active_set(A, b, np.ones((1, B)), start, support, np.ones(B, dtype=bool), 1000))
+            out.append((qagg._solve(A, b, t, 1000),))
+        return out
+
+    fast = run()
+    monkeypatch.setattr(qagg, "_kkt", lambda buf, H, E, S: _kkt_block(H, E, S))
+    reference = run()
+    assert sum(np.count_nonzero(r[0]) > 1 for r in fast[1::2]) >= 10  # not only vertices
+    for got, want in zip(fast, reference, strict=True):
+        for x, y in zip(got, want, strict=True):
+            assert np.array_equal(x, y)
 
 
 def _assert_kkt(problem, w, rtol=1e-9):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fedkme import rff
 from fedkme.data import AgentDataset
 from fedkme.embedding import local_features, trace_cov_hat
 from fedkme.kernels import isotropic_gaussian_kernel, poly2_kernel
@@ -66,6 +67,28 @@ def test_dimension_mismatch_rejected():
     params = sample_rff(KERNEL3, 16, seed=0)
     with pytest.raises(ValueError):
         featurize(params, np.zeros(2))
+
+
+@pytest.mark.parametrize("n", [1, 8, 13])
+def test_featurize_matrix_writes_into_out_bit_for_bit(n):
+    # D = 2000 makes 8-row blocks: one row, exactly one block, and a short last block
+    params = sample_rff(KERNEL3, 2000, seed=4)
+    assert max(1, rff._BLOCK // params.D) == 8
+    Z = np.random.default_rng(n).normal(size=(n, 3))
+    block = np.full((n + 3, params.D), np.nan)
+    rows = block[2:2 + n]
+    assert featurize_matrix(params, Z, out=rows) is rows
+    assert np.array_equal(rows, featurize_matrix(params, Z))
+    assert np.isnan(block[:2]).all() and np.isnan(block[2 + n:]).all()
+
+
+def test_featurize_matrix_rejects_an_out_it_cannot_fill():
+    params = sample_rff(KERNEL3, 16, seed=4)
+    Z = np.zeros((4, 3))
+    for out in (np.empty((4, 15)), np.empty((5, 16)), np.empty((4, 16), dtype=np.float32),
+                np.empty((4, 32))[:, ::2], np.empty((16, 4)).T):
+        with pytest.raises(ValueError, match="out must be"):
+            featurize_matrix(params, Z, out=out)
 
 
 def test_featurize_matrix_matches_rows():
