@@ -326,15 +326,27 @@ def _resolve_qagg(cfg: ExperimentConfig, datasets: list[AgentDataset]):
     return ones_config(c_q=cfg.c_q, c_p=cfg.c_p, **overrides)
 
 
-def _resolve_model(cfg: ExperimentConfig, datasets: list[AgentDataset]) -> ModelSpec:
+def _resolve_model(cfg: ExperimentConfig, data: _JobData) -> ModelSpec:
+    """The model spec; under logistic_gd the training labels define the classes.
+
+    Accuracy scores a label as a class index, so every training and test
+    label must be one of 0, ..., classes - 1; this runs before any learning.
+    """
     classes = 2
     if cfg.model_kind == LOGISTIC_GD:
-        for k, ds in enumerate(datasets):
+        for k, ds in enumerate(data.datasets):
             bad = ds.y[(ds.y < 0) | (ds.y != np.rint(ds.y))]
             if bad.size:
-                raise ValueError(f"model.kind = logistic_gd needs labels 0, 1, 2, ...; agent {k} has label {bad[0]:g}")
-        top = max(int(np.max(ds.y)) for ds in datasets)
+                raise ConfigError(f"model.kind = logistic_gd needs labels 0, 1, 2, ...; agent {k} has label {bad[0]:g}")
+        top = max(int(np.max(ds.y)) for ds in data.datasets)
         classes = max(2, top + 1)
+        for k, ds in enumerate(data.tests):
+            bad = ds.y[(ds.y < 0) | (ds.y >= classes) | (ds.y != np.rint(ds.y))]
+            if bad.size:
+                raise ConfigError(
+                    f"model.kind = logistic_gd scores test labels as classes 0 to {classes - 1}; "
+                    f"agent {k} of {cfg.test_path} has label {bad[0]:g}"
+                )
     return ModelSpec(
         kind=cfg.model_kind,
         lam=cfg.ridge_penalty,
@@ -344,24 +356,13 @@ def _resolve_model(cfg: ExperimentConfig, datasets: list[AgentDataset]) -> Model
     )
 
 
-def _check_test_labels(cfg: ExperimentConfig, tests: list[AgentDataset], classes: int) -> None:
-    """Accuracy scores a test label as a class index, so each must be one of 0, ..., classes - 1."""
-    for k, ds in enumerate(tests):
-        bad = ds.y[(ds.y < 0) | (ds.y >= classes) | (ds.y != np.rint(ds.y))]
-        if bad.size:
-            raise ConfigError(
-                f"model.kind = logistic_gd scores test labels as classes 0 to {classes - 1}; "
-                f"agent {k} of {cfg.test_path} has label {bad[0]:g}"
-            )
-
-
-def _protocol_config(cfg: ExperimentConfig, datasets: list[AgentDataset], seed: int) -> ProtocolConfig:
+def _protocol_config(cfg: ExperimentConfig, data: _JobData, seed: int) -> ProtocolConfig:
     return ProtocolConfig(
-        kernel=_resolve_kernel(cfg, datasets[0].dim),
+        kernel=_resolve_kernel(cfg, data.datasets[0].dim),
         d_rff=cfg.d_rff,
         seed=seed,
-        qagg=_resolve_qagg(cfg, datasets),
-        model=_resolve_model(cfg, datasets),
+        qagg=_resolve_qagg(cfg, data.datasets),
+        model=_resolve_model(cfg, data),
         embedding_scope=cfg.scope,
         optimizer_path=cfg.optimizer,
         fedavg_rounds=cfg.fedavg_rounds,
@@ -427,7 +428,7 @@ def _learn_job(
 ) -> tuple[_JobData, ProtocolConfig, list[SimplexWeights], CommLedger]:
     """Protocol steps 1-5 of one job: every agent's weight row and the ledger; no model is fitted."""
     data = _build_data(cfg, gi, rep)
-    pcfg = _protocol_config(cfg, data.datasets, rng.derive_seed(cfg.seed, "experiment-protocol", gi, rep))
+    pcfg = _protocol_config(cfg, data, rng.derive_seed(cfg.seed, "experiment-protocol", gi, rep))
     return (data, pcfg, *run_protocol_all(pcfg, data.datasets))
 
 
@@ -449,9 +450,7 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
         model_spec = pcfg.model
     else:
         data, wrows, ledger = _build_data(cfg, gi, rep), None, None
-        model_spec = _resolve_model(cfg, data.datasets)
-    if metric == ACCURACY:
-        _check_test_labels(cfg, data.tests, model_spec.classes)
+        model_spec = _resolve_model(cfg, data)
 
     # (method, target, fit key) of every results.csv row, and each path's distinct rows
     entries: list[tuple[str, int, tuple[str, bytes]]] = []

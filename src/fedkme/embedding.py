@@ -14,7 +14,7 @@ computed here in feature space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,26 +62,19 @@ class Embedding:
 
 @dataclass(frozen=True, eq=False)
 class LocalFeatureSet:
-    """The target agent's per-point features Phi_i and their mean, formed once.
-
-    ``mean`` defaults to ``features.mean(axis=0)``; :func:`featurize_agent`
-    passes the RFF embedding vector, which is that same mean.
-    """
+    """The target agent's per-point features Phi_i and their mean, formed once from them."""
 
     kind: str
     features: np.ndarray
-    mean: np.ndarray | None = None
+    mean: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (RFF, POLY2):
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
-        if self.mean is None:
-            object.__setattr__(self, "mean", self.features.mean(axis=0))
-        if self.mean.shape != self.features.shape[1:]:
-            raise ValueError(f"feature mean of shape {self.mean.shape} does not match features {self.features.shape}")
         self.features.setflags(write=False)
+        object.__setattr__(self, "mean", self.features.mean(axis=0))
         self.mean.setflags(write=False)
 
     @property
@@ -136,9 +129,13 @@ def featurize_agent(
     if scope == "features" and not dataset.has_labels:
         raise ValueError("scope='features' requires a dataset with a label column")
     Z = dataset.z(scope)
+    local = None
     if isinstance(mode, RffParams):
         F = featurize_matrix(mode, Z, out=out)
-        emb = Embedding(kind=RFF, n=dataset.n, kernel=mode.kernel, v=F.mean(axis=0))
+        if with_features:
+            local = LocalFeatureSet(kind=RFF, features=F)
+        # a target's feature set has formed the mean already
+        emb = Embedding(kind=RFF, n=dataset.n, kernel=mode.kernel, v=F.mean(axis=0) if local is None else local.mean)
     elif out is not None:
         raise ValueError("out receives RFF features only")
     elif mode == POLY2:
@@ -146,10 +143,10 @@ def featurize_agent(
             kind=POLY2, n=dataset.n, kernel=poly2_kernel(Z.shape[1]),
             mean=Z.mean(axis=0), second_moment=Z.T @ Z / Z.shape[0],
         )
-        F = poly2_lift(Z) if with_features else None
+        if with_features:
+            local = LocalFeatureSet(kind=POLY2, features=poly2_lift(Z))
     else:
         raise ValueError(f"unknown embedding mode {mode!r}")
-    local = LocalFeatureSet(kind=emb.kind, features=F, mean=emb.v) if with_features else None
     return emb, local
 
 

@@ -456,9 +456,10 @@ def test_logistic_model_rejects_labels_that_are_not_classes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("label", [-1.0, 2.0, 0.5])
-def test_logistic_model_rejects_test_labels_that_are_not_classes(tmp_path, capsys, label):
+def test_logistic_model_rejects_test_labels_that_are_not_classes(tmp_path, capsys, monkeypatch, label):
     # training labels 0 and 1 make two classes; accuracy compares y.astype(int)
     # with the predicted class, so these test labels would score silently wrong
+    monkeypatch.setattr(cli, "run_protocol_all", lambda *a: pytest.fail("weights learned before the test labels were checked"))
     _write_custom(tmp_path, [5, 6, 7])
     for name in ("train.csv", "test.csv"):
         lines = (tmp_path / name).read_text().splitlines()

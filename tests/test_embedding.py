@@ -174,8 +174,6 @@ def test_local_feature_mean_is_formed_once():
     for local in (local_features(ds, POLY2), LocalFeatureSet(kind=POLY2, features=g.normal(size=(4, 3)))):
         assert np.array_equal(local.mean, local.features.mean(axis=0))
         assert not local.mean.flags.writeable
-    with pytest.raises(ValueError, match="feature mean"):
-        LocalFeatureSet(kind=POLY2, features=np.zeros((4, 3)), mean=np.zeros(2))
     with pytest.raises(ValueError, match="RFF features only"):
         featurize_agent(ds, POLY2, with_features=True, out=np.empty((6, 10)))
 
