@@ -37,7 +37,6 @@ from .data import AgentDataset
 from .datagen import (
     ConceptShiftSpec,
     CovariateShiftSpec,
-    CsvSchema,
     concept_shift_test_sets,
     covariate_shift_test_sets,
     gen_concept_shift,
@@ -400,8 +399,8 @@ def _build_data(cfg: ExperimentConfig, gi: int, rep: int) -> _JobData:
         tests = covariate_shift_test_sets(spec, cfg.test_size)
         params = [float(g) for g in groups]
     else:
-        train_by_id = load_csv_agents(cfg.train_path, CsvSchema())
-        test_by_id = load_csv_agents(cfg.test_path, CsvSchema())
+        train_by_id = load_csv_agents(cfg.train_path)
+        test_by_id = load_csv_agents(cfg.test_path)
         if list(test_by_id) != list(train_by_id):
             # agents pair with their test sets by position, so ids and order must both match
             raise ValueError(

@@ -1,11 +1,11 @@
 """Per-agent datasets and the raw-data access audit used by the simulator.
 
 An :class:`AgentDataset` holds one agent's sample matrix: features ``X``
-(n rows, d columns), an optional label/target column ``y``, and an optional
-group id.  The full sample tuple ``Z`` is ``[X, y]`` when labels are
-present, else ``X`` alone.  A labeled dataset also offers its augmented
-second moment ``[X, 1, y]' [X, 1, y] / n``, formed on first request and
-cached, which is all a squared-loss fit needs of it.
+(n rows, d columns) and an optional label/target column ``y``.  The full
+sample tuple ``Z`` is ``[X, y]`` when labels are present, else ``X`` alone.
+A labeled dataset also offers its augmented second moment
+``[X, 1, y]' [X, 1, y] / n``, formed on first request and cached, which is
+all a squared-loss fit needs of it.
 
 Reads of the raw arrays are observable through a module-level audit hook;
 the federated simulator uses it to assert that computing one agent's
@@ -49,9 +49,9 @@ def audit_raw_access() -> Iterator[list["AgentDataset"]]:
 
 
 class AgentDataset:
-    """One agent's local sample: features, optional labels, optional group id."""
+    """One agent's local sample: features and optional labels."""
 
-    def __init__(self, X, y=None, group: int | None = None):
+    def __init__(self, X, y=None):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-d (n, d), got shape {X.shape}")
@@ -67,7 +67,6 @@ class AgentDataset:
                 raise ValueError("y contains non-finite entries")
         self._X = X
         self._y = y
-        self.group = group
         self._moments: np.ndarray | None = None
 
     def _record(self) -> None:
@@ -128,5 +127,4 @@ class AgentDataset:
 
     def __repr__(self) -> str:
         lbl = ", labeled" if self._y is not None else ""
-        grp = f", group={self.group}" if self.group is not None else ""
-        return f"AgentDataset(n={self.n}, d={self.dim}{lbl}{grp})"
+        return f"AgentDataset(n={self.n}, d={self.dim}{lbl})"

@@ -70,11 +70,11 @@ def _concept_beta(spec: ConceptShiftSpec, k: int, beta_0: np.ndarray) -> tuple[n
     return beta, (0 if sign > 0 else 1)
 
 
-def _concept_sample(spec: ConceptShiftSpec, k: int, beta: np.ndarray, group: int, n: int, split: int) -> AgentDataset:
+def _concept_sample(spec: ConceptShiftSpec, k: int, beta: np.ndarray, n: int, split: int) -> AgentDataset:
     g = rng.stream(spec.seed, _CONCEPT_DRAW, k, split)
     X = g.normal(loc=1.0, size=(n, spec.d))
     y = X @ beta + np.sqrt(spec.sigma_y2) * g.normal(size=n)
-    return AgentDataset(X, y, group=group)
+    return AgentDataset(X, y)
 
 
 def gen_concept_shift(spec: ConceptShiftSpec) -> tuple[list[AgentDataset], list[np.ndarray], list[int]]:
@@ -83,7 +83,7 @@ def gen_concept_shift(spec: ConceptShiftSpec) -> tuple[list[AgentDataset], list[
     datasets, betas, groups = [], [], []
     for k in range(spec.b):
         beta, group = _concept_beta(spec, k, beta_0)
-        datasets.append(_concept_sample(spec, k, beta, group, spec.n_k, TRAIN))
+        datasets.append(_concept_sample(spec, k, beta, spec.n_k, TRAIN))
         betas.append(beta)
         groups.append(group)
     return datasets, betas, groups
@@ -94,9 +94,10 @@ def concept_shift_test_sets(
 ) -> list[AgentDataset]:
     """Held-out sets from each agent's own law, on independent streams.
 
-    ``betas`` and ``groups`` are the ones ``gen_concept_shift(spec)`` returned.
+    ``betas`` and ``groups`` are the ones ``gen_concept_shift(spec)``
+    returned; a test set is drawn from its beta alone, so ``groups`` is not read.
     """
-    return [_concept_sample(spec, k, betas[k], groups[k], n_test, TEST) for k in range(spec.b)]
+    return [_concept_sample(spec, k, betas[k], n_test, TEST) for k in range(spec.b)]
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def _covariate_sample(spec: CovariateShiftSpec, k: int, n: int, split: int) -> A
         scale = np.sqrt(spec.sigma1_sq if group == 0 else spec.sigma2_sq)
         X = mu_k + scale * g.normal(size=(n, spec.d))
     y = covariate_response(X, 0.2 * g.normal(size=n))  # noise variance 0.04
-    return AgentDataset(X, y, group=group)
+    return AgentDataset(X, y)
 
 
 def gen_covariate_shift(spec: CovariateShiftSpec) -> tuple[list[AgentDataset], list[int]]:
@@ -179,42 +180,28 @@ def covariate_shift_test_sets(spec: CovariateShiftSpec, n_test: int) -> list[Age
 
 
 def write_csv(datasets: list[AgentDataset], path) -> None:
-    """Dataset schema: header agent_id, x_1..x_d, y; one row per sample."""
+    """Labeled datasets in the schema of :func:`load_csv_agents`: agent_id, x_1..x_d, y; one row per sample."""
     if not datasets:
         raise ValueError("nothing to write")
     d = datasets[0].dim
-    labeled = datasets[0].has_labels
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["agent_id"] + [f"x_{j}" for j in range(1, d + 1)] + (["y"] if labeled else [])
+        header = ["agent_id"] + [f"x_{j}" for j in range(1, d + 1)] + ["y"]
         writer.writerow(header)
         for agent_id, ds in enumerate(datasets):
             X = ds.X
             y = ds.y
             for i in range(ds.n):
-                row = [str(agent_id)] + [f"{v:.17g}" for v in X[i]]
-                if labeled:
-                    row.append(f"{y[i]:.17g}")
+                row = [str(agent_id)] + [f"{v:.17g}" for v in X[i]] + [f"{y[i]:.17g}"]
                 writer.writerow(row)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column names for generic dataset ingestion."""
-
-    agent_col: str = "agent_id"
-    label_col: str | None = "y"
-    feature_cols: tuple[str, ...] | None = None  # None: every other column
-
-    def __post_init__(self):
-        if self.feature_cols is not None:
-            object.__setattr__(self, "feature_cols", tuple(self.feature_cols))
-
-
-def load_csv_agents(path, schema: CsvSchema = CsvSchema()) -> dict[str, AgentDataset]:
+def load_csv_agents(path) -> dict[str, AgentDataset]:
     """One dataset per distinct agent id, keyed by that id in first-appearance order.
 
-    Errors carry 1-based physical row numbers (the header is row 1).
+    The file has an ``agent_id`` and a ``y`` column, and every other column
+    is a feature.  Errors carry 1-based physical row numbers (the header is
+    row 1).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -230,14 +217,9 @@ def load_csv_agents(path, schema: CsvSchema = CsvSchema()) -> dict[str, AgentDat
         except ValueError:
             raise ValueError(f"{path}: missing column {name!r}") from None
 
-    agent_idx = col_index(schema.agent_col)
-    label_idx = col_index(schema.label_col) if schema.label_col is not None else None
-    if schema.feature_cols is not None:
-        feature_idx = [col_index(c) for c in schema.feature_cols]
-    else:
-        feature_idx = [
-            j for j in range(len(header)) if j != agent_idx and j != label_idx
-        ]
+    agent_idx = col_index("agent_id")
+    label_idx = col_index("y")
+    feature_idx = [j for j in range(len(header)) if j not in (agent_idx, label_idx)]
     if not feature_idx:
         raise ValueError(f"{path}: no feature columns")
 
@@ -261,12 +243,11 @@ def load_csv_agents(path, schema: CsvSchema = CsvSchema()) -> dict[str, AgentDat
             return value
 
         feats.append([parse(j) for j in feature_idx])
-        if label_idx is not None:
-            labels.append(parse(label_idx))
+        labels.append(parse(label_idx))
 
     if not by_agent:
         raise ValueError(f"{path}: no data rows")
     return {
-        agent: AgentDataset(np.array(feats), np.array(labels) if labels else None)
+        agent: AgentDataset(np.array(feats), np.array(labels))
         for agent, (feats, labels) in by_agent.items()
     }

@@ -1,11 +1,13 @@
-"""Empirical kernel mean embeddings in two finite representations.
+"""Empirical kernel mean embeddings as finite coordinate vectors.
 
-A distribution's KME is represented either as
+An agent's KME is one vector ``v``, which is both what the agent uploads and
+what the weight learner reads:
 
-* an RFF vector ``v = mean_i phi(Z_i)`` in R^D, or
-* a degree-2 polynomial moment summary ``(mean, uncentered second moment)``,
-  whose explicit feature lift ``(1, sqrt(2) z, z_i^2, sqrt(2) z_i z_j)_{i<j}``
-  reproduces ``(<z, z'> + 1)^2`` exactly.
+* under RFF, ``v = mean_i phi(Z_i)`` in R^D;
+* under poly2, ``v`` is the explicit feature lift
+  ``(1, sqrt(2) z, z_i^2, sqrt(2) z_i z_j)_{i<j}`` of the sample's
+  (mean, uncentered second moment) summary, which reproduces
+  ``(<z, z'> + 1)^2`` exactly.  Its leading 1 is a constant, not a payload.
 
 Either way an agent shares a finite summary and never its sample.  The
 covariance trace and the q statistics that the weight learner consumes are
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AgentDataset
-from .kernels import KernelSpec, poly2_kernel
 from .rff import RffParams, featurize_matrix
 
 RFF = "rff"
@@ -28,36 +29,17 @@ POLY2 = "poly2"
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """One agent's empirical KME in a single representation."""
+    """One agent's empirical KME: the coordinate vector it uploads and the weight program reads."""
 
     kind: str
-    n: int
-    kernel: KernelSpec
-    v: np.ndarray | None = None
-    mean: np.ndarray | None = None
-    second_moment: np.ndarray | None = None
+    v: np.ndarray
 
     def __post_init__(self):
         if self.kind not in (RFF, POLY2):
             raise ValueError(f"unknown embedding kind {self.kind!r}")
-        if self.n < 0:
-            raise ValueError("sample count must be non-negative")
-        if self.kind == RFF:
-            if self.v is None:
-                raise ValueError("rff embedding requires a vector")
-            if float(np.linalg.norm(self.v)) > np.sqrt(2.0) + 1e-9:
-                raise ValueError("rff embedding norm exceeds sqrt(2)")
-            self.v.setflags(write=False)
-        else:
-            if self.mean is None or self.second_moment is None:
-                raise ValueError("poly2 embedding requires mean and second moment")
-            C = self.second_moment
-            if C.shape[0] != C.shape[1] or not np.allclose(C, C.T, atol=1e-10):
-                raise ValueError("second moment must be symmetric")
-            if float(np.min(np.linalg.eigvalsh(C))) < -1e-8:
-                raise ValueError("second moment must be positive semi-definite")
-            self.mean.setflags(write=False)
-            self.second_moment.setflags(write=False)
+        if self.kind == RFF and float(np.linalg.norm(self.v)) > np.sqrt(2.0) + 1e-9:
+            raise ValueError("rff embedding norm exceeds sqrt(2)")
+        self.v.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +82,6 @@ def _poly2_summary_lift(mean: np.ndarray, second_moment: np.ndarray) -> np.ndarr
     return np.concatenate([[1.0], np.sqrt(2.0) * mean, quad])
 
 
-def as_feature_vector(emb: Embedding) -> np.ndarray:
-    """Finite-dimensional coordinate vector of an embedding."""
-    if emb.kind == RFF:
-        return emb.v
-    return _poly2_summary_lift(emb.mean, emb.second_moment)
-
-
 def featurize_agent(
     dataset: AgentDataset, mode, scope: str = "full", with_features: bool = False, out: np.ndarray | None = None,
 ) -> tuple[Embedding, LocalFeatureSet | None]:
@@ -135,14 +110,11 @@ def featurize_agent(
         if with_features:
             local = LocalFeatureSet(kind=RFF, features=F)
         # a target's feature set has formed the mean already
-        emb = Embedding(kind=RFF, n=dataset.n, kernel=mode.kernel, v=F.mean(axis=0) if local is None else local.mean)
+        emb = Embedding(kind=RFF, v=F.mean(axis=0) if local is None else local.mean)
     elif out is not None:
         raise ValueError("out receives RFF features only")
     elif mode == POLY2:
-        emb = Embedding(
-            kind=POLY2, n=dataset.n, kernel=poly2_kernel(Z.shape[1]),
-            mean=Z.mean(axis=0), second_moment=Z.T @ Z / Z.shape[0],
-        )
+        emb = Embedding(kind=POLY2, v=_poly2_summary_lift(Z.mean(axis=0), Z.T @ Z / Z.shape[0]))
         if with_features:
             local = LocalFeatureSet(kind=POLY2, features=poly2_lift(Z))
     else:
@@ -186,7 +158,7 @@ def q_stat(local: LocalFeatureSet, nu_k: Embedding, nu_1: Embedding) -> float:
         raise ValueError("q statistic needs at least two samples")
     if nu_k.kind != local.kind or nu_1.kind != local.kind:
         raise ValueError("embedding representation does not match local features")
-    u = as_feature_vector(nu_k) - as_feature_vector(nu_1)
+    u = nu_k.v - nu_1.v
     proj = local.features @ u
     proj -= proj.mean()
     return float(np.sum(proj * proj)) / (n - 1)

@@ -119,11 +119,10 @@ def _charge_gamma(ledger: CommLedger, cfg: ProtocolConfig, mode, n_agents: int) 
     ledger.log_each(["sampling"], "server", [f"agent_{k}" for k in range(n_agents)], "rff_coefficients", payload)
 
 
-def _kme_payload(cfg: ProtocolConfig, mode, emb: Embedding) -> int:
-    if isinstance(mode, RffParams):
-        return cfg.d_rff
-    p = emb.mean.shape[0]
-    return p + p * (p + 1) // 2  # mean plus symmetric second moment
+def _kme_payload(emb: Embedding) -> int:
+    if emb.kind == POLY2:
+        return emb.v.size - 1  # the lift's leading 1 is not sent: p means and p(p+1)/2 moments
+    return emb.v.size
 
 
 def _weight_cfg(cfg: ProtocolConfig, mode, datasets) -> QaggConfig:
@@ -179,7 +178,7 @@ def _learn(
     for k, emb in enumerate(embeddings):
         if targets == [k]:
             continue  # the only target's embedding never leaves it
-        ledger.log("kme_upload", f"agent_{k}", "server", "kme", _kme_payload(cfg, mode, emb))
+        ledger.log("kme_upload", f"agent_{k}", "server", "kme", _kme_payload(emb))
         if not isinstance(mode, RffParams):
             ledger.log("kme_upload", f"agent_{k}", "server", "kernel_bound", 1)
 

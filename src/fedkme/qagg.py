@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import Embedding, LocalFeatureSet, as_feature_vector, q_stat, trace_cov_hat
+from .embedding import Embedding, LocalFeatureSet, q_stat, trace_cov_hat
 
 # relative to the scaled program, whose largest entry is 1
 _TOL = 1e-10
@@ -127,10 +127,6 @@ class QaggProblem:
         self.A.setflags(write=False)
         self.b.setflags(write=False)
 
-    @property
-    def n_agents(self) -> int:
-        return self.b.shape[0]
-
     def objective(self, w) -> float:
         w = np.asarray(getattr(w, "w", w), dtype=float)
         return float(w @ self.A @ w + np.dot(self.b, w))
@@ -181,7 +177,7 @@ def build_problem(embs: list[Embedding], local: LocalFeatureSet, cfg: QaggConfig
     if n_t < 2:
         raise ValueError("target agent needs at least two samples")
 
-    V = np.stack([as_feature_vector(e) for e in embs])
+    V = np.stack([e.v for e in embs])
     diffs = V - V[t]
     A = diffs @ diffs.T
     A = (A + A.T) / 2.0
@@ -291,7 +287,7 @@ def _solve(A: np.ndarray, b: np.ndarray, t: int, cap: int) -> np.ndarray:
 
 def _assemble(embs: list[Embedding], locals_: dict[int, LocalFeatureSet], cfg: QaggConfig):
     """The shared Gram matrix G and one row of b per target, in the order of ``locals_``."""
-    V = np.stack([as_feature_vector(e) for e in embs])
+    V = np.stack([e.v for e in embs])
     # A_t sees only differences; dropping the common offset avoids
     # cancellation on large poly2 lifts and keeps identical agents at exactly 0
     V = V - V[0]

@@ -45,7 +45,6 @@ class RffParams:
     b: np.ndarray  # (D,) phases in [0, 2pi)
     D: int
     kernel: KernelSpec
-    seed: int
 
     def __post_init__(self):
         if self.W.shape != (self.D, self.kernel.ambient_dim):
@@ -66,7 +65,7 @@ def sample_rff(kernel: KernelSpec, D: int, seed: int) -> RffParams:
     g = rng.stream(seed, _RFF_STREAM)
     W = spectral.sample(g, D)
     b = 2.0 * np.pi * g.random(D)  # u in [0, 1) keeps b in [0, 2pi)
-    return RffParams(W=W, b=b, D=int(D), kernel=kernel, seed=int(seed))
+    return RffParams(W=W, b=b, D=int(D), kernel=kernel)
 
 
 def featurize_matrix(params: RffParams, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Reference forms of the kernel mean embedding, for tests only.
 
-The package represents a KME by a finite summary, an RFF vector or poly2
-moments, and no agent ever reads another agent's sample.  The forms here need
-raw points, a single point, or a population law, and no protocol step calls
-them.  They are the oracles the finite forms are checked against:
+The package represents a KME by a finite vector, the RFF mean or the poly2
+lift of the sample's moments, and no agent ever reads another agent's
+sample.  The forms here need raw points, a single point, or a population
+law, and no protocol step calls them.  They are the oracles the finite forms
+are checked against:
 
 * pointwise kernel values, Gram matrices, and the RFF map of one point;
 * the exact embedding, a handle on an agent's raw sample under a kernel, with
@@ -23,8 +24,8 @@ import numpy as np
 
 from fedkme import qagg
 from fedkme.data import AgentDataset
-from fedkme.embedding import POLY2, RFF, Embedding
-from fedkme.kernels import GAUSSIAN, KernelSpec, poly2_kernel
+from fedkme.embedding import POLY2, Embedding, _poly2_summary_lift
+from fedkme.kernels import GAUSSIAN, KernelSpec
 from fedkme.models import LOGISTIC_GD, ModelSpec
 from fedkme.rff import RffParams, featurize_matrix
 
@@ -98,20 +99,14 @@ def exact_embed(dataset: AgentDataset, kernel: KernelSpec, scope: str = "full") 
 def _check_compatible(a, b) -> None:
     if a.kind != b.kind:
         raise ValueError(f"embedding representations differ: {a.kind} vs {b.kind}")
-    if a.kernel != b.kernel:
-        raise ValueError("embeddings use different kernels")
 
 
 def kme_inner(a: Embedding | ExactEmbedding, b: Embedding | ExactEmbedding) -> float:
     """RKHS inner product <mu_a, mu_b> in the shared representation."""
     _check_compatible(a, b)
-    if a.kind == RFF:
-        return float(np.dot(a.v, b.v))
-    if a.kind == POLY2:
-        return float(
-            1.0 + 2.0 * np.dot(a.mean, b.mean) + np.sum(a.second_moment * b.second_moment)
-        )
-    return float(np.mean(gram_matrix(a.kernel, a.Z, b.Z)))
+    if a.kind == EXACT:
+        return float(np.mean(gram_matrix(a.kernel, a.Z, b.Z)))
+    return float(np.dot(a.v, b.v))
 
 
 def _clamp_sq(value: float) -> float:
@@ -143,15 +138,12 @@ def mmd2_mixture(weights, embs: list, target) -> float:
 def poly2_population_embedding(mean, cov) -> Embedding:
     """Analytic KME of a Gaussian N(mean, cov) under the poly2 kernel.
 
-    The population second moment is cov + mean mean^T; the sample count is 0
-    to mark an infinite-sample reference object.
+    The lift of the population moments: the mean and the second moment
+    cov + mean mean^T.
     """
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
-    return Embedding(
-        kind=POLY2, n=0, kernel=poly2_kernel(mean.shape[0]),
-        mean=mean, second_moment=cov + np.outer(mean, mean),
-    )
+    return Embedding(kind=POLY2, v=_poly2_summary_lift(mean, cov + np.outer(mean, mean)))
 
 
 def kernel_trace_cov_hat(local: ExactEmbedding) -> float:

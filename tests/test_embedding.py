@@ -1,9 +1,10 @@
 """Embedding representations checked against independent oracle formulas.
 
-The poly2 closed forms are validated against the exact kernel double sum,
-the explicit feature lift, and hand arithmetic; the trace and directional
-variance statistics are validated against kernel-expansion oracles, from
-``reference_kme`` or written out in plain numpy inside the tests.
+The poly2 vectors are validated against the moment closed form, the exact
+kernel double sum, the explicit feature lift, and hand arithmetic; the trace
+and directional variance statistics are validated against kernel-expansion
+oracles, from ``reference_kme`` or written out in plain numpy inside the
+tests.
 """
 
 import math
@@ -16,7 +17,7 @@ from fedkme.embedding import (
     POLY2,
     Embedding,
     LocalFeatureSet,
-    as_feature_vector,
+    _poly2_summary_lift,
     embed,
     featurize_agent,
     local_features,
@@ -52,14 +53,14 @@ def test_single_point_rff_embedding_is_the_feature():
     z = np.array([[0.3, -0.7]])
     emb = embed(AgentDataset(z), params)
     np.testing.assert_allclose(emb.v, featurize(params, z[0]), rtol=1e-15)
-    assert emb.n == 1
 
 
 def test_poly2_embedding_hand_moments():
     data = AgentDataset(np.array([[1.0, 0.0], [0.0, 1.0]]))
     emb = embed(data, POLY2)
-    np.testing.assert_allclose(emb.mean, [0.5, 0.5])
-    np.testing.assert_allclose(emb.second_moment, [[0.5, 0.0], [0.0, 0.5]])
+    # mean (0.5, 0.5), second moment diag(0.5, 0.5): (1, sqrt2 m, C_11, sqrt2 C_12, C_22)
+    r = math.sqrt(2.0)
+    np.testing.assert_allclose(emb.v, [1.0, 0.5 * r, 0.5 * r, 0.5, 0.0, 0.5])
 
 
 def test_duplication_leaves_embedding_unchanged():
@@ -69,11 +70,7 @@ def test_duplication_leaves_embedding_unchanged():
     for mode in (params, POLY2):
         one = embed(AgentDataset(Z), mode)
         two = embed(AgentDataset(np.vstack([Z, Z])), mode)
-        if mode == POLY2:
-            np.testing.assert_allclose(two.mean, one.mean, rtol=1e-15)
-            np.testing.assert_allclose(two.second_moment, one.second_moment, rtol=1e-15)
-        else:
-            np.testing.assert_allclose(two.v, one.v, rtol=1e-15)
+        np.testing.assert_allclose(two.v, one.v, rtol=1e-15)
 
 
 def test_kme_inner_self_nonnegative():
@@ -218,8 +215,9 @@ def test_q_stat_zero_when_embeddings_coincide():
 
 def test_q_stat_zero_for_constant_features():
     local = LocalFeatureSet(kind=POLY2, features=poly2_lift(np.ones((4, 1))))
-    a = Embedding(kind=POLY2, n=4, kernel=poly2_kernel(1), mean=np.array([0.5]), second_moment=np.array([[0.5]]))
-    b = Embedding(kind=POLY2, n=4, kernel=poly2_kernel(1), mean=np.array([0.1]), second_moment=np.array([[0.4]]))
+    # lifts (1, sqrt2 m, C) of the moments (0.5, 0.5) and (0.1, 0.4)
+    a = Embedding(kind=POLY2, v=np.array([1.0, math.sqrt(2.0) * 0.5, 0.5]))
+    b = Embedding(kind=POLY2, v=np.array([1.0, math.sqrt(2.0) * 0.1, 0.4]))
     assert q_stat(local, a, b) == 0.0
 
 
@@ -248,15 +246,7 @@ def test_q_stat_exact_kernel_expansion_matches_feature_form():
 
 def test_rff_embedding_norm_invariant_enforced():
     with pytest.raises(ValueError):
-        Embedding(kind="rff", n=2, kernel=KERNEL2, v=np.full(8, 1.0))
-
-
-def test_poly2_second_moment_must_be_psd():
-    with pytest.raises(ValueError):
-        Embedding(
-            kind=POLY2, n=2, kernel=poly2_kernel(2),
-            mean=np.zeros(2), second_moment=np.array([[1.0, 0.0], [0.0, -1.0]]),
-        )
+        Embedding(kind="rff", v=np.full(8, 1.0))
 
 
 def test_cauchy_schwarz_across_representations():
@@ -273,8 +263,9 @@ def test_population_embedding_of_gaussian():
     mean = np.array([1.0, -0.5])
     cov = np.array([[0.5, 0.1], [0.1, 0.3]])
     pop = poly2_population_embedding(mean, cov)
-    assert pop.n == 0
-    np.testing.assert_allclose(pop.second_moment, cov + np.outer(mean, mean))
+    S = cov + np.outer(mean, mean)
+    r = math.sqrt(2.0)
+    np.testing.assert_allclose(pop.v, [1.0, r * mean[0], r * mean[1], S[0, 0], r * S[0, 1], S[1, 1]])
     # large-sample empirical embedding converges to the analytic one
     g = np.random.default_rng(19)
     Z = g.multivariate_normal(mean, cov, size=200000)
@@ -288,17 +279,19 @@ def test_scope_features_drops_label_column():
     y = g.normal(size=5)
     labeled = AgentDataset(X, y)
     emb = embed(labeled, POLY2, scope="features")
-    np.testing.assert_allclose(emb.mean, X.mean(axis=0))
+    assert emb.v.size == 1 + 2 + 3  # the lift of two features, not three
+    np.testing.assert_allclose(emb.v[1:3], math.sqrt(2.0) * X.mean(axis=0))
     unlabeled = AgentDataset(X)
     with pytest.raises(ValueError):
         embed(unlabeled, POLY2, scope="features")
 
 
-def test_as_feature_vector_inner_products_match_closed_form():
+def test_poly2_vector_inner_products_match_moment_closed_form():
     g = np.random.default_rng(21)
-    a, b = embed(_dataset(g, 5, 2), POLY2), embed(_dataset(g, 5, 2), POLY2)
-    dot = float(as_feature_vector(a) @ as_feature_vector(b))
-    assert dot == pytest.approx(kme_inner(a, b), rel=1e-12)
+    Za, Zb = g.normal(size=(5, 2)), g.normal(size=(5, 2))
+    a, b = embed(AgentDataset(Za), POLY2), embed(AgentDataset(Zb), POLY2)
+    closed = 1.0 + 2.0 * Za.mean(axis=0) @ Zb.mean(axis=0) + np.sum((Za.T @ Za / 5) * (Zb.T @ Zb / 5))
+    assert float(a.v @ b.v) == pytest.approx(closed, rel=1e-12)
 
 
 def test_featurize_agent_matches_embed_and_local_features_bit_for_bit():
@@ -318,13 +311,13 @@ def test_featurize_agent_matches_embed_and_local_features_bit_for_bit():
         emb, local = featurize_agent(ds, mode, scope, with_features=True)
         ref_emb = embed(ds, mode, scope=scope)
         ref_local = local_features(ds, mode, scope=scope)
-        assert (emb.kind, emb.n, emb.kernel) == (ref_emb.kind, ref_emb.n, ref_emb.kernel)
+        assert emb.kind == ref_emb.kind
         assert local.kind == ref_local.kind
         assert np.array_equal(local.features, ref_local.features)
         if mode == POLY2:
-            assert np.array_equal(emb.mean, ref_emb.mean) and np.array_equal(emb.mean, Z.mean(axis=0))
-            assert np.array_equal(emb.second_moment, ref_emb.second_moment)
-            assert np.array_equal(emb.second_moment, Z.T @ Z / Z.shape[0])
+            assert np.array_equal(emb.v, ref_emb.v)
+            assert np.array_equal(emb.v, _poly2_summary_lift(Z.mean(axis=0), Z.T @ Z / Z.shape[0]))
+            np.testing.assert_allclose(emb.v, poly2_lift(Z).mean(axis=0), rtol=1e-12)
             assert np.array_equal(local.features, poly2_lift(Z))
         else:
             F = featurize_matrix(mode, Z)
@@ -339,6 +332,6 @@ def test_featurize_agent_matches_embed_and_local_features_bit_for_bit():
 def test_embedding_and_local_features_reject_other_kinds():
     for kind in (EXACT, "RFF", "poly3", ""):
         with pytest.raises(ValueError, match="unknown embedding kind"):
-            Embedding(kind=kind, n=2, kernel=KERNEL2, v=np.zeros(8))
+            Embedding(kind=kind, v=np.zeros(8))
         with pytest.raises(ValueError, match="unknown feature kind"):
             LocalFeatureSet(kind=kind, features=np.zeros((2, 8)))

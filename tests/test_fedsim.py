@@ -130,12 +130,14 @@ def test_doubling_d_doubles_kme_upload():
 
 def test_poly2_payload_and_bound_entries():
     datasets = _agents(3, B=3)
-    cfg = _cfg(kernel=poly2_kernel(3))
-    result = run_protocol(cfg, datasets, target=0)
-    p = 3  # ambient tuple (x1, x2, y): mean plus symmetric second moment
-    assert result.ledger.total("kme") == 2 * (p + p * (p + 1) // 2)
-    assert result.ledger.total("kernel_bound") == 2
-    assert result.ledger.total("rff_coefficients") == 0
+    # ambient tuple (x1, x2, y) or (x1, x2): mean plus symmetric second moment,
+    # without the constant 1 that leads the lift
+    for scope, p in (("full", 3), ("features", 2)):
+        cfg = _cfg(kernel=poly2_kernel(p), embedding_scope=scope)
+        result = run_protocol(cfg, datasets, target=0)
+        assert result.ledger.total("kme") == 2 * (p + p * (p + 1) // 2)
+        assert result.ledger.total("kernel_bound") == 2
+        assert result.ledger.total("rff_coefficients") == 0
 
 
 def test_run_protocol_determinism():

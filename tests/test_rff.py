@@ -47,7 +47,7 @@ def test_frequency_entries_have_zero_mean():
 
 
 def test_featurize_single_zero_frequency():
-    params = RffParams(W=np.zeros((1, 2)), b=np.zeros(1), D=1, kernel=isotropic_gaussian_kernel(2), seed=0)
+    params = RffParams(W=np.zeros((1, 2)), b=np.zeros(1), D=1, kernel=isotropic_gaussian_kernel(2))
     phi = featurize(params, np.array([3.0, -4.0]))
     np.testing.assert_allclose(phi, [math.sqrt(2.0)])
 
@@ -141,9 +141,9 @@ def test_average_rff_trace_matches_kernel_trace():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RffParams(W=np.zeros((2, 3)), b=np.array([0.0, 7.0]), D=2, kernel=KERNEL3, seed=0)
+        RffParams(W=np.zeros((2, 3)), b=np.array([0.0, 7.0]), D=2, kernel=KERNEL3)
     with pytest.raises(ValueError):
-        RffParams(W=np.zeros((2, 3)), b=np.zeros(3), D=2, kernel=KERNEL3, seed=0)
+        RffParams(W=np.zeros((2, 3)), b=np.zeros(3), D=2, kernel=KERNEL3)
 
 
 def _textbook(params, Z):
@@ -160,14 +160,14 @@ def _odd_pi_params(D=600, d=3):
     W = np.zeros((D, d))
     W[:, 0] = 2.0 * np.pi * k
     b = np.pi + np.resize([0.0, 5e-16, -5e-16, 1e-12, -1e-12, 1e-9], D)
-    return RffParams(W=W, b=b, D=D, kernel=isotropic_gaussian_kernel(d), seed=0)
+    return RffParams(W=W, b=b, D=D, kernel=isotropic_gaussian_kernel(d))
 
 
 def _wide_params(D, d, scale):
     g = np.random.default_rng(9)
     W = g.uniform(-scale, scale, size=(D, d))
     W[0] = 0.0  # a zero-frequency row: the feature is the constant cos(b_0)
-    return RffParams(W=W, b=2.0 * np.pi * g.random(D), D=D, kernel=isotropic_gaussian_kernel(d), seed=0)
+    return RffParams(W=W, b=2.0 * np.pi * g.random(D), D=D, kernel=isotropic_gaussian_kernel(d))
 
 
 _COVARIATE_WIDE = sample_rff(isotropic_gaussian_kernel(9), 2000, seed=1)
