@@ -31,7 +31,7 @@ def main() -> None:
                 sigma_c2=sc2, b=b, n_k=n_k, d=d, sigma_y2=8.0, seed=1000 + rep
             )
             datasets, betas, groups = gen_concept_shift(spec)
-            tests = concept_shift_test_sets(spec, betas, groups, 400)
+            tests = concept_shift_test_sets(spec, betas, 400)
             cfg = ProtocolConfig(
                 kernel=concept_shift_kernel(d), d_rff=200, seed=7,
                 qagg=qcfg, model=mspec,

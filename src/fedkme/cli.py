@@ -28,7 +28,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,7 +66,16 @@ from .kernels import (
     isotropic_gaussian_kernel,
     poly2_kernel,
 )
-from .models import ACCURACY, LOGISTIC_GD, MSE, FittedModel, ModelSpec, evaluate, fit_weighted
+from .models import (
+    ACCURACY,
+    LOGISTIC_GD,
+    MSE,
+    NON_FINITE,
+    FittedModel,
+    ModelSpec,
+    evaluate,
+    fit_weighted,
+)
 from .qagg import SimplexWeights, default_config, ones_config, theory_config, weights_matrix
 
 CONCEPT = "concept_shift"
@@ -339,7 +348,8 @@ def _resolve_model(cfg: ExperimentConfig, data: _JobData) -> ModelSpec:
                 raise ConfigError(f"model.kind = logistic_gd needs labels 0, 1, 2, ...; agent {k} has label {bad[0]:g}")
         top = max(int(np.max(ds.y)) for ds in data.datasets)
         classes = max(2, top + 1)
-        for k, ds in enumerate(data.tests):
+        for k in range(len(data.datasets)):
+            ds = data.test(k)
             bad = ds.y[(ds.y < 0) | (ds.y >= classes) | (ds.y != np.rint(ds.y))]
             if bad.size:
                 raise ConfigError(
@@ -372,31 +382,50 @@ def _protocol_config(cfg: ExperimentConfig, data: _JobData, seed: int) -> Protoc
 
 class _JobData(NamedTuple):
     datasets: list[AgentDataset]
-    tests: list[AgentDataset]
+    test: Callable[[int], AgentDataset]  # target t's held-out set; a synthetic one is drawn on each call
     groups: list[int]
     params: list[float]  # results.csv param column, one entry per target
 
 
-def _build_data(cfg: ExperimentConfig, gi: int, rep: int) -> _JobData:
+def _synthetic_spec(cfg: ExperimentConfig, gi: int, rep: int) -> ConceptShiftSpec | CovariateShiftSpec:
+    """The generator parameters of one synthetic job."""
     data_seed = rng.derive_seed(cfg.seed, "experiment-data", gi, rep)
     if cfg.experiment == CONCEPT:
-        spec = ConceptShiftSpec(
+        return ConceptShiftSpec(
             sigma_c2=cfg.grid[gi], b=cfg.agents, n_k=cfg.samples_per_agent,
             d=cfg.dim, sigma_y2=cfg.noise_var, seed=data_seed,
         )
+    k1, k2 = cfg.group_sizes
+    return CovariateShiftSpec(
+        b=cfg.agents, n_k=cfg.samples_per_agent, d=cfg.dim, k1=k1, k2=k2,
+        v1_sq=cfg.center_var1, v2_sq=cfg.center_var2,
+        sigma1_sq=cfg.group_var1, sigma2_sq=cfg.group_var2,
+        mu0=(cfg.group2_center,) * cfg.dim, seed=data_seed,
+    )
+
+
+def _build_data(cfg: ExperimentConfig, gi: int, rep: int) -> _JobData:
+    """One job's training sets, and its held-out sets as a per-target accessor.
+
+    A synthetic held-out set is drawn from its agent's own stream when it is
+    asked for, through this module's name of the datagen function, so a job
+    that scores target by target holds one set at a time.
+    """
+    if cfg.experiment == CONCEPT:
+        spec = _synthetic_spec(cfg, gi, rep)
         datasets, betas, groups = gen_concept_shift(spec)
-        tests = concept_shift_test_sets(spec, betas, groups, cfg.test_size)
+
+        def test(t: int) -> AgentDataset:
+            return concept_shift_test_sets(spec, betas, cfg.test_size, [t])[0]
+
         params = [cfg.grid[gi]] * cfg.agents
     elif cfg.experiment == COVARIATE:
-        k1, k2 = cfg.group_sizes
-        spec = CovariateShiftSpec(
-            b=cfg.agents, n_k=cfg.samples_per_agent, d=cfg.dim, k1=k1, k2=k2,
-            v1_sq=cfg.center_var1, v2_sq=cfg.center_var2,
-            sigma1_sq=cfg.group_var1, sigma2_sq=cfg.group_var2,
-            mu0=(cfg.group2_center,) * cfg.dim, seed=data_seed,
-        )
+        spec = _synthetic_spec(cfg, gi, rep)
         datasets, groups = gen_covariate_shift(spec)
-        tests = covariate_shift_test_sets(spec, cfg.test_size)
+
+        def test(t: int) -> AgentDataset:
+            return covariate_shift_test_sets(spec, cfg.test_size, [t])[0]
+
         params = [float(g) for g in groups]
     else:
         train_by_id = load_csv_agents(cfg.train_path)
@@ -407,12 +436,12 @@ def _build_data(cfg: ExperimentConfig, gi: int, rep: int) -> _JobData:
                 f"test file lists agents {list(test_by_id)} but train file lists {list(train_by_id)}; "
                 "both must list the same agent ids in the same order"
             )
-        datasets, tests = list(train_by_id.values()), list(test_by_id.values())
+        datasets, test = list(train_by_id.values()), list(test_by_id.values()).__getitem__
         groups = list(cfg.groups) if cfg.groups else [0] * len(datasets)
         if len(groups) != len(datasets):
             raise ValueError(f"experiment.groups lists {len(groups)} agents, data has {len(datasets)}")
         params = [float(g) for g in groups]
-    return _JobData(datasets, tests, groups, params)
+    return _JobData(datasets, test, groups, params)
 
 
 class _JobResult(NamedTuple):
@@ -431,6 +460,16 @@ def _learn_job(
     return (data, pcfg, *run_protocol_all(pcfg, data.datasets))
 
 
+def _check_finite(cfg: ExperimentConfig, path: str, fitted: list[FittedModel]) -> None:
+    """Fail the repetition if a gradient fit diverged, naming the step-size key that drove it."""
+    if any(m.status == NON_FINITE for m in fitted):
+        if path == FEDAVG:
+            what, key, value = "FedAvg", "protocol.fedavg_lr", cfg.fedavg_lr
+        else:
+            what, key, value = cfg.model_kind, "model.learning_rate", cfg.model_lr
+        raise ValueError(f"{what} diverged to a non-finite model; lower {key} (now {value!r})")
+
+
 def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobResult:
     """One repetition's results.csv rows: Qagg (if ``with_qagg``) and every baseline.
 
@@ -439,9 +478,11 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
     row) is fitted once and each distinct (model, target) is evaluated once.
     The job collects every row first and fits each path's distinct rows in
     one call; then it charges FedAvg per Qagg target, in target order, and
-    scores.  Fitting and evaluation are deterministic, and a row's model
-    does not depend on the other rows of its call, so reuse changes no
-    output byte.
+    scores target by target: a target's held-out set is drawn, scores every
+    distinct model of that target's rows, and is released before the next
+    target's set is drawn, so the job holds one held-out set at a time.
+    Fitting and evaluation are deterministic, and a row's model does not
+    depend on the other rows of its call, so reuse changes no output byte.
     """
     metric = ACCURACY if cfg.model_kind == LOGISTIC_GD else MSE
     if with_qagg:
@@ -474,15 +515,22 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
             fitted = fit_model(pcfg, list(rows.values()), data.datasets)
         else:
             fitted = fit_weighted(model_spec, list(rows.values()), data.datasets)
+        _check_finite(cfg, path, fitted)
         models.update(zip(((path, row) for row in rows), fitted))
 
     if with_qagg:
         for w in wrows:
             charge_fedavg(pcfg, w, models[pcfg.optimizer_path, w.w.tobytes()], ledger)
+    scored: list[dict[tuple[str, bytes], None]] = [{} for _ in data.params]  # each target's distinct models
+    for _, t, key in entries:
+        scored[t].setdefault(key)
     values: dict[tuple[tuple[str, bytes], int], float] = {}
-    for method, t, key in entries:
-        if (key, t) not in values:
-            values[key, t] = evaluate(models[key], data.tests[t], metric)
+    for t, keys in enumerate(scored):
+        if keys:
+            test = data.test(t)
+            for key in keys:
+                values[key, t] = evaluate(models[key], test, metric)
+            del test  # released before the next target's set is drawn
     rows = [(method, data.params[t], rep, t, values[key, t]) for method, t, key in entries]
     return _JobResult(rows, wrows, ledger, None)
 

@@ -20,12 +20,16 @@ and U([-6, 6]^d).
 
 All draws flow through named, per-agent seed streams, so regenerating any
 agent (or its held-out test set) is deterministic and order-independent.
+The test-set functions draw the sets of the agents they are asked for, so a
+caller can draw one agent's set when it scores that agent and release it
+before drawing the next: the bits are those of the all-agents draw.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +94,16 @@ def gen_concept_shift(spec: ConceptShiftSpec) -> tuple[list[AgentDataset], list[
 
 
 def concept_shift_test_sets(
-    spec: ConceptShiftSpec, betas: list[np.ndarray], groups: list[int], n_test: int
+    spec: ConceptShiftSpec, betas: list[np.ndarray], n_test: int, agents: Sequence[int] | None = None,
 ) -> list[AgentDataset]:
-    """Held-out sets from each agent's own law, on independent streams.
+    """Held-out sets of ``agents`` (default: every agent), in that order, from each agent's own law.
 
-    ``betas`` and ``groups`` are the ones ``gen_concept_shift(spec)``
-    returned; a test set is drawn from its beta alone, so ``groups`` is not read.
+    ``betas`` are the ones ``gen_concept_shift(spec)`` returned.  Each set
+    has its own stream, so agent k's set is the same bits whether it is
+    drawn alone or among others.
     """
-    return [_concept_sample(spec, k, betas[k], n_test, TEST) for k in range(spec.b)]
+    ks = range(spec.b) if agents is None else agents
+    return [_concept_sample(spec, k, betas[k], n_test, TEST) for k in ks]
 
 
 @dataclass(frozen=True)
@@ -174,9 +180,12 @@ def gen_covariate_shift(spec: CovariateShiftSpec) -> tuple[list[AgentDataset], l
     return datasets, [spec.group_of(k) for k in range(spec.b)]
 
 
-def covariate_shift_test_sets(spec: CovariateShiftSpec, n_test: int) -> list[AgentDataset]:
-    """Held-out sets from each agent's own feature law."""
-    return [_covariate_sample(spec, k, n_test, TEST) for k in range(spec.b)]
+def covariate_shift_test_sets(
+    spec: CovariateShiftSpec, n_test: int, agents: Sequence[int] | None = None,
+) -> list[AgentDataset]:
+    """Held-out sets of ``agents`` (default: every agent), in that order, from each agent's own feature law."""
+    ks = range(spec.b) if agents is None else agents
+    return [_covariate_sample(spec, k, n_test, TEST) for k in ks]
 
 
 def write_csv(datasets: list[AgentDataset], path) -> None:

@@ -28,7 +28,9 @@ iterations step all rows together: each gradient-descent epoch is one batched
 mat-vec over the rows' weighted moments, and each FedAvg local step is one
 over the rows' participants, for rows with the same number of participants.
 Every slice of a batched product is the bits of its one-row product, so a
-row's model does not depend on which other rows share its call.
+row's model does not depend on which other rows share its call.  A model
+whose coefficients are not all finite (gradient steps too large for the
+data diverge) carries the status ``NON_FINITE``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ LOGISTIC_GD = "logistic_gd"
 
 MSE = "mse"
 ACCURACY = "accuracy"
+
+NON_FINITE = "non-finite"  # status of a model whose coefficients overflowed, e.g. from too large a step size
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,8 @@ def _param_dim(spec: ModelSpec, d: int) -> tuple[int, ...]:
 
 
 def _unpack(theta: np.ndarray, spec: ModelSpec, d: int, status: str = "ok") -> FittedModel:
+    if not np.all(np.isfinite(theta)):
+        status = NON_FINITE
     return FittedModel(coefficients=theta[:d], intercept=theta[d], spec=spec, status=status)
 
 
@@ -180,7 +186,12 @@ _RANK_RTOL = 1e-12
 # this many bytes, and at least one
 _FEDAVG_CHUNK_BYTES = 1 << 22
 
+# a step size too large for the data overflows the iterates; the fit returns
+# them with status NON_FINITE instead of warning at every overflowing step
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
+
+@_quiet_overflow
 def fit_weighted(
     spec: ModelSpec, weights: Sequence[SimplexWeights | np.ndarray], datasets: list[AgentDataset],
 ) -> list[FittedModel]:
@@ -220,6 +231,7 @@ def fit_weighted(
     return [_unpack(row, spec, d) for row in theta]
 
 
+@_quiet_overflow
 def fedavg(
     spec: ModelSpec,
     weights: Sequence[SimplexWeights | np.ndarray],

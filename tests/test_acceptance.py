@@ -253,7 +253,7 @@ def test_A7_concept_shift_tracks_oracle_then_local_with_crossover():
                 sigma_c2=sc2, b=B, n_k=nk, d=d, sigma_y2=noise_var, seed=1000 + rep
             )
             datasets, betas, groups = gen_concept_shift(spec)
-            tests = concept_shift_test_sets(spec, betas, groups, 400)
+            tests = concept_shift_test_sets(spec, betas, 400)
             cfg = ProtocolConfig(kernel=kern, d_rff=D, seed=7, qagg=qcfg, model=mspec)
             oracle = baseline_weights("oracle", datasets, groups=groups)
             local = baseline_weights("local", datasets)

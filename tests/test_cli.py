@@ -1,6 +1,9 @@
 """Config parsing, the four subcommands, and exit-code behavior."""
 
 import csv
+import inspect
+import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -187,6 +190,77 @@ def test_cmd_run_seed_changes_results(tmp_path):
     a = cmd_run(replace(TINY, repetitions=1, grid=(0.5,)), a_dir)
     b = cmd_run(replace(TINY, repetitions=1, grid=(0.5,), seed=99), b_dir)
     assert a["results"].read_bytes() != b["results"].read_bytes()
+
+
+def _count_draws(monkeypatch):
+    """A counter of (job data seed, agent) over every held-out set drawn through cli's datagen names."""
+    drawn = Counter()
+    for name in ("concept_shift_test_sets", "covariate_shift_test_sets"):
+        original = getattr(cli, name)
+
+        def counted(*args, _original=original, **kwargs):
+            bound = inspect.signature(_original).bind(*args, **kwargs).arguments
+            spec, agents = bound["spec"], bound.get("agents")
+            drawn.update((spec.seed, k) for k in (range(spec.b) if agents is None else agents))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [TINY, replace(TINY, experiment="covariate_shift", grid=(0.0,), group_sizes=(1, 1))],
+    ids=["concept_shift", "covariate_shift"],
+)
+def test_each_target_held_out_set_is_drawn_once_per_job_and_only_to_score(tmp_path, monkeypatch, cfg):
+    drawn = _count_draws(monkeypatch)
+    cmd_gen(cfg, tmp_path)
+    cmd_weights(cfg, tmp_path)
+    assert not drawn  # neither reads a held-out set
+    jobs = [(gi, rep) for gi in range(len(cfg.grid)) for rep in range(cfg.repetitions)]
+    expected = Counter({(cli._synthetic_spec(cfg, gi, rep).seed, t): 1 for gi, rep in jobs for t in range(cfg.agents)})
+    for command in (cmd_run, cmd_baseline):
+        drawn.clear()
+        out = tmp_path / command.__name__
+        out.mkdir()
+        command(cfg, out)
+        assert drawn == expected, command.__name__
+
+
+def test_a_job_holds_one_held_out_set_at_a_time():
+    cfg = replace(TINY, agents=40, test_size=4000, dim=20, grid=(0.5,), repetitions=1)
+    held_out_bytes = cfg.agents * cfg.test_size * (cfg.dim + 1) * 8  # 25.6 MiB of (x, y) rows in all
+    tracemalloc.start()
+    try:
+        result = cli._run_job(cfg, 0, 0, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.rows) == 4 * cfg.agents
+    assert peak < held_out_bytes / 4, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [(dict(model_kind="linear_gd", model_lr=1e6), "model.learning_rate"),
+     (dict(optimizer="fedavg", fedavg_lr=1e6), "protocol.fedavg_lr")],
+    ids=["linear_gd", "fedavg"],
+)
+def test_a_fit_that_diverges_fails_its_repetition_naming_the_step_size(tmp_path, capsys, overrides, key):
+    cfg = ExperimentConfig(
+        experiment="covariate_shift", grid=(0.0,), repetitions=1, test_size=20, agents=6,
+        samples_per_agent=10, dim=3, group_sizes=(2, 2), **overrides,
+    )
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(serialize_config(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would be a second stderr line
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert _read(tmp_path / "out" / "results.csv")[1:] == [["status", "-1", "0", "-1", "error"]]
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("repetition 0 of grid point 0 failed: ValueError: ")
+    assert f"non-finite model; lower {key} (now 1000000.0)" in line
 
 
 def test_cmd_weights_single_agent(tmp_path):

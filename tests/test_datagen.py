@@ -102,8 +102,8 @@ def test_concept_determinism_and_seed_sensitivity():
 
 def test_concept_test_sets_are_consistent_and_independent():
     spec = ConceptShiftSpec(sigma_c2=0.3, b=6, n_k=5, d=4, seed=13)
-    train, betas, groups = gen_concept_shift(spec)
-    tests = concept_shift_test_sets(spec, betas, groups, n_test=7)
+    train, betas, _ = gen_concept_shift(spec)
+    tests = concept_shift_test_sets(spec, betas, n_test=7)
     assert len(tests) == 6
     for k, ts in enumerate(tests):
         assert ts.n == 7
@@ -112,13 +112,22 @@ def test_concept_test_sets_are_consistent_and_independent():
         assert np.all(np.isfinite(resid))
     # independence: fresh draws, not a prefix of the training sample
     assert not np.array_equal(tests[0].X[: train[0].n], train[0].X)
+    # agent k's set drawn alone, or among others in any order, is the bits of its set drawn among all
+    _assert_same_sets([concept_shift_test_sets(spec, betas, 7, [k])[0] for k in range(6)], tests)
+    _assert_same_sets(concept_shift_test_sets(spec, betas, 7, [4, 1]), [tests[4], tests[1]])
+
+
+def _assert_same_sets(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.X.tobytes() == b.X.tobytes() and a.y.tobytes() == b.y.tobytes()
 
 
 def test_concept_test_sets_follow_each_agents_own_beta():
     # with almost no label noise a test set's labels pin down the beta it was drawn with
     spec = ConceptShiftSpec(sigma_c2=1.0, b=6, n_k=5, d=4, sigma_y2=1e-20, seed=14)
-    _, betas, groups = gen_concept_shift(spec)
-    for k, ts in enumerate(concept_shift_test_sets(spec, betas, groups, n_test=7)):
+    _, betas, _ = gen_concept_shift(spec)
+    for k, ts in enumerate(concept_shift_test_sets(spec, betas, n_test=7)):
         assert np.abs(ts.y - ts.X @ betas[k]).max() <= 1e-8
 
 
@@ -189,6 +198,9 @@ def test_covariate_determinism_and_test_split():
     tests = covariate_shift_test_sets(spec, n_test=9)
     assert [ts.n for ts in tests] == [9] * 6
     assert not np.array_equal(tests[0].X[:4], a[0].X)
+    # agents 0, 2 and 5 are one of each group; each set drawn alone is the bits of that set drawn among all
+    _assert_same_sets([covariate_shift_test_sets(spec, 9, [k])[0] for k in range(6)], tests)
+    _assert_same_sets(covariate_shift_test_sets(spec, 9, [5, 2, 0]), [tests[5], tests[2], tests[0]])
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
