@@ -11,7 +11,8 @@ what the weight learner reads:
 
 Either way an agent shares a finite summary and never its sample.  The
 covariance trace and the q statistics that the weight learner consumes are
-computed here in feature space.
+computed in feature space: the trace here, and q for every peer at once in
+:func:`fedkme.qagg.cost_row` (:func:`q_stat` is its one-peer form).
 """
 
 from __future__ import annotations
@@ -44,24 +45,48 @@ class Embedding:
 
 @dataclass(frozen=True, eq=False)
 class LocalFeatureSet:
-    """The target agent's per-point features Phi_i and their mean, formed once from them."""
+    """A target agent's per-point features Phi_i and their mean, formed once from them, for one weight step.
+
+    The set takes over the rows it is built from: ``features`` is a read-only
+    view of them, and the set keeps them writable for the weight step alone.
+    That step is their last reader.  :func:`fedkme.qagg.cost_row` forms the
+    target's projections from them, then takes them with :meth:`spend` and
+    writes the centred squares of the covariance trace over them, so after
+    it ``features`` no longer holds the features, and a second weight step on
+    the set raises.  ``mean`` is an array of its own and keeps its value.
+    """
 
     kind: str
     features: np.ndarray
     mean: np.ndarray = field(init=False, repr=False)
+    _rows: np.ndarray | None = field(init=False, repr=False)  # None once spent
 
     def __post_init__(self):
         if self.kind not in (RFF, POLY2):
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        if self.features.ndim != 2:
+        rows = self.features
+        if rows.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
-        self.features.setflags(write=False)
-        object.__setattr__(self, "mean", self.features.mean(axis=0))
+        if rows.dtype != np.float64 or not rows.flags.c_contiguous or not rows.flags.writeable:
+            raise ValueError("features must be writable C-contiguous float64 rows: the weight step overwrites them")
+        view = rows.view()
+        view.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "features", view)
+        object.__setattr__(self, "mean", view.mean(axis=0))
         self.mean.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.features.shape[0]
+
+    def spend(self) -> np.ndarray:
+        """The writable rows that ``features`` views, handed to the weight step once to overwrite."""
+        rows = self._rows
+        if rows is None:
+            raise ValueError("these features were overwritten by an earlier weight step")
+        object.__setattr__(self, "_rows", None)
+        return rows
 
 
 def poly2_lift(Z: np.ndarray) -> np.ndarray:
@@ -135,8 +160,11 @@ def local_features(dataset: AgentDataset, mode, scope: str = "full") -> LocalFea
 def trace_cov_hat(local: LocalFeatureSet, out: np.ndarray | None = None) -> float:
     """Unbiased empirical covariance trace tr Sigma_hat = (1/(n-1)) sum_i ||Phi_i - mean||^2.
 
-    The centred squares go to ``out``, a C-contiguous array shaped like the
-    features, if one is given, so a caller can reuse one scratch array.
+    The centred squares go to ``out``, a C-contiguous float array shaped like
+    the features, if one is given; otherwise to a temporary of that size.
+    ``out`` may be the features' own rows (:meth:`LocalFeatureSet.spend`):
+    each entry is read before it is overwritten, and the trace is the same
+    bits, but the features are then lost.
     """
     n = local.n
     if n < 2:

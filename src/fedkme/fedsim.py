@@ -17,7 +17,10 @@ are "transmitted" by regenerating them from the shared seed, but the ledger
 charges the full payload of D x (ambient_dim + 1) scalars per agent.  Each
 target computes its per-point features before the weight step starts, so a
 raw-data access audit asserts that the weight step reads no agent's sample
-matrix at all, the target's included.
+matrix at all, the target's included.  On the RFF path the targets' features
+are row ranges of one block per job; the weight step is their last reader
+and writes each target's trace terms over its own rows, so a job holds that
+block and no scratch array beside it.
 """
 
 from __future__ import annotations
@@ -152,7 +155,8 @@ def _learn(
 
     Each agent featurizes its sample once: the mean is its embedding, and a
     target keeps the matrix, in its rows of one shared block, before the
-    raw-data audit window opens.
+    raw-data audit window opens.  :func:`learn_weights` spends the targets'
+    feature sets: it overwrites their rows.
     """
     B = len(datasets)
     if B < 1:

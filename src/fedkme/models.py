@@ -158,11 +158,21 @@ def _weight_rows(weights: Sequence[SimplexWeights | np.ndarray], datasets: list[
 
 
 def _moment_stack(rows: list[np.ndarray], datasets: list[AgentDataset]) -> tuple[np.ndarray, np.ndarray]:
-    """The augmented moments of every agent some row weights, stacked once, and each agent's index into them."""
+    """The augmented moments of every agent some row weights, stacked once, and each agent's index into them.
+
+    Moments that overflowed (entries near 1e154 square past the largest
+    float) are rejected here, naming the agent: no fit can use them, and
+    LAPACK may not return on them.
+    """
     used = np.flatnonzero(np.any(np.stack(rows) > 0.0, axis=0))
     at = np.zeros(len(datasets), dtype=int)
     at[used] = np.arange(used.size)
-    return np.stack([datasets[k].moments() for k in used]), at
+    stack = np.stack([datasets[k].moments() for k in used])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        k = int(used[np.argmin(finite)])
+        raise ValueError(f"agent {k}'s second moments overflow to a non-finite value; scale its features and labels down")
+    return stack, at
 
 
 def _weighted_moments(rows: list[np.ndarray], stack: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,11 @@ raises ``ArithmeticError``, as does a non-finite entry of A or b.
 Every target's program shares the Gram matrix G_{kl} = <nu_k, nu_l>, and
 :func:`learn_weights` assembles G once and forms each target's
 A_t = G - G_t - G_t' + G_tt from it, target by target, so a target's weights
-are the same bits whether it is solved alone or with all the others.
+are the same bits whether it is solved alone or with all the others.  The
+target side of the program is :func:`cost_row`: b_t needs the target's own
+feature rows, for q_k and tr(Sigma_t), and they have no reader after it, so
+it writes the trace's centred squares over them instead of into a scratch
+array.  A weight step then holds no (n_t x D) array besides the features.
 :func:`build_problem` is the explicit one-target form of the same program.
 """
 
@@ -285,30 +289,27 @@ def _solve(A: np.ndarray, b: np.ndarray, t: int, cap: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _assemble(embs: list[Embedding], locals_: dict[int, LocalFeatureSet], cfg: QaggConfig):
-    """The shared Gram matrix G and one row of b per target, in the order of ``locals_``."""
-    V = np.stack([e.v for e in embs])
-    # A_t sees only differences; dropping the common offset avoids
-    # cancellation on large poly2 lifts and keeps identical agents at exactly 0
-    V = V - V[0]
-    G = V @ V.T
-    G = (G + G.T) / 2.0
+def cost_row(local: LocalFeatureSet, V: np.ndarray, t: int, cfg: QaggConfig) -> np.ndarray:
+    """Target t's cost row b_t, from its own feature rows and the centred embedding stack.
 
-    b = np.empty((len(locals_), len(embs)))
-    # one scratch array holds every target's centred squares in turn
-    scratch = np.empty((max((local.n for local in locals_.values()), default=0), V.shape[1]))
-    for r, (t, local) in enumerate(locals_.items()):
-        n = local.n
-        # from the differences, not G_kk - 2 G_kt + G_tt: a duplicate of the
-        # target must sit at distance 0, not at the root of a rounding residue
-        diffs = V - V[t]
-        dist = np.sqrt((diffs * diffs).sum(axis=1))
-        proj = local.features @ diffs.T
-        proj -= proj.mean(axis=0)
-        q = (proj * proj).sum(axis=0) / (n - 1)
-        b[r] = cfg.c_q * np.sqrt(q) / math.sqrt(n) + cfg.c_p * cfg.m * dist / n
-        b[r, t] = 2.0 * trace_cov_hat(local, out=scratch[:n]) / n
-    return G, b
+    ``V`` holds every agent's embedding less agent 0's, the stack that
+    :func:`learn_weights` forms the Gram matrix from.  The target's
+    projections F_t (V - V_t)' are formed first; then the trace term's
+    centred squares are written over the feature rows themselves, which
+    spends ``local`` (see :class:`LocalFeatureSet`), so no scratch array of
+    the features' size is allocated.
+    """
+    n = local.n
+    # from the differences, not G_kk - 2 G_kt + G_tt: a duplicate of the
+    # target must sit at distance 0, not at the root of a rounding residue
+    diffs = V - V[t]
+    dist = np.sqrt((diffs * diffs).sum(axis=1))
+    proj = local.features @ diffs.T
+    proj -= proj.mean(axis=0)
+    q = (proj * proj).sum(axis=0) / (n - 1)
+    b = cfg.c_q * np.sqrt(q) / math.sqrt(n) + cfg.c_p * cfg.m * dist / n
+    b[t] = 2.0 * trace_cov_hat(local, out=local.spend()) / n
+    return b
 
 
 def learn_weights(
@@ -318,11 +319,12 @@ def learn_weights(
 
     ``locals_`` maps a target index to that target's per-point features; rows
     come back in its order and ``cfg.target_index`` is ignored.  The Gram matrix
-    is assembled once and each target's program is formed from it and solved
-    on its own, so a row does not depend on which other targets are asked for:
-    asking for one target gives bit for bit the row that asking for all of
-    them gives.  Embeddings and features are finite summaries, so no
-    agent's raw data is read here.
+    is assembled once and each target's program is formed from it and from
+    the target's :func:`cost_row`, and solved on its own, so a row does not
+    depend on which other targets are asked for: asking for one target gives
+    bit for bit the row that asking for all of them gives.  Each feature set
+    is spent by its cost row.  Embeddings and features are finite summaries,
+    so no agent's raw data is read here.
     """
     B = len(embs)
     if B < 1:
@@ -336,7 +338,15 @@ def learn_weights(
         if local.n < 2:
             raise ValueError("target agent needs at least two samples")
 
-    G, b = _assemble(embs, locals_, cfg)
+    V = np.stack([e.v for e in embs])
+    # A_t sees only differences; dropping the common offset avoids
+    # cancellation on large poly2 lifts and keeps identical agents at exactly 0
+    V = V - V[0]
+    G = V @ V.T
+    G = (G + G.T) / 2.0
+    # every cost row before any solve: interleaving the two passes over V and
+    # G measured about 10% slower on 100 targets of D = 500
+    b = [cost_row(local, V, t, cfg) for t, local in locals_.items()]
     rows = []
     for t, b_t in zip(locals_, b):
         A = G - G[t] - G[:, t, None] + G[t, t]

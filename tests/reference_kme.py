@@ -10,8 +10,9 @@ are checked against:
 * the exact embedding, a handle on an agent's raw sample under a kernel, with
   the kernel-expansion forms of the inner product, the covariance trace, the
   q statistic and one target's weight program;
-* squared MMDs by bilinear expansion, and the analytic poly2 embedding of a
-  Gaussian;
+* squared MMDs by bilinear expansion, and the analytic embedding of a
+  Gaussian under poly2 and in RFF coordinates (the concept-shift law of
+  (x, y) is Gaussian);
 * the weighted model risk, and the one-target solve of a ``QaggProblem``.
 """
 
@@ -144,6 +145,30 @@ def poly2_population_embedding(mean, cov) -> Embedding:
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
     return Embedding(kind=POLY2, v=_poly2_summary_lift(mean, cov + np.outer(mean, mean)))
+
+
+def concept_shift_law(beta, sigma_y2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of z = (x, y) under concept shift: x ~ N(1, I_d), y = <beta, x> + N(0, sigma_y2)."""
+    beta = np.asarray(beta, dtype=float).reshape(-1)
+    d = beta.size
+    mean = np.append(np.ones(d), beta.sum())
+    cov = np.block([[np.eye(d), beta[:, None]], [beta[None, :], np.array([[beta @ beta + sigma_y2]])]])
+    return mean, cov
+
+
+def rff_population_embedding(params: RffParams, mean, cov) -> tuple[np.ndarray, float]:
+    """The population KME mu = E phi(z) of z ~ N(mean, cov) in RFF coordinates, and tr Cov phi(z).
+
+    For phi_s(z) = sqrt(2/D) cos(<w_s, z> + b_s), E cos(<w, z> + b) =
+    exp(-w'Sw/2) cos(<w, m> + b); and cos^2 = (1 + cos 2.)/2 gives
+    E ||phi(z)||^2 = (1/D) sum_s (1 + exp(-2 w_s'Sw_s) cos(2 <w_s, m> + 2 b_s)).
+    """
+    mean = np.asarray(mean, dtype=float)
+    quad = np.einsum("si,ij,sj->s", params.W, np.asarray(cov, dtype=float), params.W)
+    phase = params.W @ mean + params.b
+    mu = np.sqrt(2.0 / params.D) * np.exp(-quad / 2.0) * np.cos(phase)
+    second = float(np.mean(1.0 + np.exp(-2.0 * quad) * np.cos(2.0 * phase)))
+    return mu, second - float(mu @ mu)
 
 
 def kernel_trace_cov_hat(local: ExactEmbedding) -> float:

@@ -2,13 +2,21 @@
 
 import csv
 import inspect
+import math
+import os
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedkme import cli, fedsim
 from fedkme.cli import (
@@ -26,6 +34,11 @@ from fedkme.cli import (
 )
 from fedkme.qagg import SimplexWeights, theory_config, weights_matrix
 from reference_job import run_without_reuse
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import checks  # noqa: E402
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TINY = ExperimentConfig(
     grid=(0.0, 1.0),
@@ -445,13 +458,13 @@ def test_cmd_weights_fits_no_model(tmp_path, monkeypatch):
             assert cmd_weights(cfg, weights_dir).read_bytes() == expected
 
 
-def _write_custom(tmp_path, sizes, scale=1.0, seed=0):
+def _write_custom(tmp_path, sizes, scale=1.0, seed=0, label_scale=None):
     g = np.random.default_rng(seed)
     lines = ["agent_id,x_1,x_2,y"]
     for agent, n in enumerate(sizes):
         for _ in range(n):
             x = scale * g.normal(size=2)
-            y = x.sum() + scale * g.normal()
+            y = x.sum() + scale * g.normal() if label_scale is None else label_scale * g.normal()
             lines.append(f"{agent},{x[0]:.17g},{x[1]:.17g},{y:.17g}")
     for name in ("train.csv", "test.csv"):
         (tmp_path / name).write_text("\n".join(lines) + "\n")
@@ -474,6 +487,27 @@ def test_run_with_a_single_sample_agent_fails_with_a_clear_message(tmp_path, cap
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert _read(tmp_path / "out" / "results.csv")[1:] == [["status", "-1", "0", "-1", "error"]]
     assert "agent 1 needs at least two samples to act as a target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model_kind", ["ridge", "linear_gd"])
+@pytest.mark.parametrize("label_scale", [None, 1.0], ids=["x_and_y_at_1e160", "x_at_1e160"])
+def test_a_fit_on_moments_that_overflow_fails_naming_the_agent(tmp_path, model_kind, label_scale):
+    # in a subprocess with a timeout: LAPACK may never return on such moments
+    _write_custom(tmp_path, [5, 5], scale=1e160, label_scale=label_scale)
+    cfg_path = _custom_config(tmp_path, model_kind=model_kind, bandwidth="isotropic")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedkme.cli", "run", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _read(tmp_path / "out" / "results.csv")[1:] == [["status", "-1", "0", "-1", "error"]]
+    (line,) = proc.stderr.splitlines()  # no LAPACK message, no overflow warning
+    assert line == (
+        "repetition 0 of grid point 0 failed: ValueError: agent 0's second moments overflow "
+        "to a non-finite value; scale its features and labels down"
+    )
+    assert "DLASCL" not in proc.stdout + proc.stderr
 
 
 def test_run_on_poly2_data_at_1e6(tmp_path):
@@ -671,3 +705,64 @@ def test_fedavg_run_bytes_do_not_depend_on_threads(tmp_path):
     for name in ("results.csv", "weights.csv", "comm.csv"):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t3" / name).read_bytes(), name
     assert any(r[3] == "model_round_trip" for r in _read(tmp_path / "t1" / "comm.csv")[1:])
+
+
+@st.composite
+def _small_configs(draw):
+    scope = draw(st.sampled_from(["full", "features"]))
+    return ExperimentConfig(
+        experiment=draw(st.sampled_from(["concept_shift", "covariate_shift"])),
+        grid=(draw(st.sampled_from([0.0, 0.5, 1.0])),),
+        repetitions=draw(st.integers(1, 2)),
+        test_size=draw(st.integers(1, 5)),
+        agents=draw(st.integers(1, 6)),
+        samples_per_agent=draw(st.integers(1, 5)),
+        dim=draw(st.integers(1, 3)),
+        group_sizes=(draw(st.integers(0, 2)), draw(st.integers(0, 2))),
+        kernel_kind=draw(st.sampled_from(["gaussian", "poly2"])),
+        bandwidth="concept" if scope == "full" and draw(st.booleans()) else "isotropic",
+        d_rff=draw(st.integers(1, 20)),
+        scope=scope,
+        optimizer=draw(st.sampled_from(["closed_form", "fedavg"])),
+        fedavg_rounds=draw(st.integers(0, 3)),
+        fedavg_local_steps=draw(st.integers(1, 2)),
+        preset=draw(st.sampled_from(["default", "ones", "theory", "manual"])),
+        model_kind=draw(st.sampled_from(["ridge", "linear_gd", "logistic_gd"])),
+        model_epochs=draw(st.integers(1, 5)),
+        seed=draw(st.sampled_from([0, 1, 2**64 - 1])),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=_small_configs())
+def test_small_runs_exit_cleanly_with_checked_outputs(cfg):
+    # every run exits 0 or 1 (a config error); a run that exits 0 writes finite
+    # results or status rows, simplex weights and the closed-form ledger total,
+    # with the same bytes at --threads 1 and 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "exp.cfg").write_text(serialize_config(cfg))
+        codes = [
+            main(["run", "--config", str(tmp / "exp.cfg"), "--out", str(tmp / f"t{n}"), "--threads", str(n)])
+            for n in (1, 2)
+        ]
+        assert codes[0] == codes[1] and codes[0] in (0, 1)
+        if codes[0] == 1:
+            return
+        out = tmp / "t1"
+        for name in checks.OUTPUT_FILES:
+            assert (out / name).read_bytes() == (tmp / "t2" / name).read_bytes(), name
+        rows = checks.read_results(out / "results.csv")
+        assert all(
+            r["mse_or_accuracy"] == "error" if r["method"] == checks.STATUS_METHOD
+            else math.isfinite(float(r["mse_or_accuracy"]))
+            for r in rows
+        )
+        weights = checks.read_weights(out / "weights.csv")
+        for row in weights:
+            assert min(row) >= 0.0 and abs(math.fsum(row) - 1.0) <= 1e-9
+        # a failed snapshot repetition writes no weights and an empty ledger; a
+        # lone agent is its own only target and uploads nothing, which the
+        # closed form does not model
+        if weights and cfg.agents > 1:
+            assert sum(checks.comm_totals(out / "comm.csv").values()) == checks.expected_comm(cfg, weights)

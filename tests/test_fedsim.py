@@ -1,5 +1,6 @@
 """Protocol orchestration, the communication ledger, and baseline weights."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -359,24 +360,42 @@ def test_targets_keep_their_features_in_one_read_only_block(monkeypatch):
     datasets = [AgentDataset(ds.X[: 5 + 2 * k], ds.y[: 5 + 2 * k]) for k, ds in enumerate(_agents(15, B=4, n=12))]
     cfg = _cfg(D=48, seed=2)
     params = sample_rff(cfg.kernel, cfg.d_rff, cfg.seed)
+    # featurized here: the check below runs inside the raw-data audit window
+    expected = [featurize_matrix(params, ds.z("full")) for ds in datasets]
     seen = []
     real = fedsim.learn_weights
 
     def capture(embs, locals_, qcfg):
+        # the weight step overwrites the rows, so they are checked before it runs
         seen.append(locals_)
+        block = next(iter(locals_.values())).features.base
+        assert block.shape == (sum(datasets[t].n for t in locals_), cfg.d_rff)
+        for t, local in locals_.items():
+            assert local.features.base is block
+            assert not local.features.flags.writeable
+            assert np.array_equal(local.features, expected[t])
         return real(embs, locals_, qcfg)
 
     monkeypatch.setattr(fedsim, "learn_weights", capture)
     run_protocol_all(cfg, datasets)
     run_protocol(cfg, datasets, target=2)
     assert [list(locals_) for locals_ in seen] == [[0, 1, 2, 3], [2]]
-    for locals_ in seen:
-        block = next(iter(locals_.values())).features.base
-        assert block.shape == (sum(datasets[t].n for t in locals_), cfg.d_rff)
-        for t, local in locals_.items():
-            assert local.features.base is block
-            assert not local.features.flags.writeable
-            assert np.array_equal(local.features, featurize_matrix(params, datasets[t].z("full")))
+
+
+def test_the_weight_step_holds_nothing_the_size_of_a_target_besides_the_feature_block():
+    # the cost rows write their centred squares over the targets' own rows,
+    # so the job's peak is the (sum n_t x D) block plus small change
+    B, n, D = 8, 300, 1000
+    datasets = _agents(16, B=B, n=n, d=2)
+    cfg = _cfg(D=D, seed=5)
+    tracemalloc.start()
+    try:
+        run_protocol_all(cfg, datasets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rest = peak - B * n * D * 8
+    assert rest < n * D * 8 / 2, f"{rest / 2**20:.2f} MiB besides the block"
 
 
 def test_run_protocol_all_matches_learn_weights_on_embed_and_local_features():

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from fedkme import qagg
 from fedkme.data import AgentDataset
-from fedkme.embedding import POLY2, embed, local_features
-from fedkme.kernels import isotropic_gaussian_kernel, poly2_kernel
+from fedkme.datagen import ConceptShiftSpec, gen_concept_shift
+from fedkme.embedding import POLY2, RFF, LocalFeatureSet, embed, local_features
+from fedkme.fedsim import ORACLE, baseline_weights
+from fedkme.kernels import concept_shift_kernel, isotropic_gaussian_kernel, poly2_kernel
 from fedkme.qagg import (
     QaggConfig,
     QaggProblem,
@@ -25,8 +27,8 @@ from fedkme.qagg import (
     theory_config,
     weights_matrix,
 )
-from fedkme.rff import sample_rff
-from reference_kme import exact_embed, kernel_problem, optimize
+from fedkme.rff import featurize_matrix, sample_rff
+from reference_kme import concept_shift_law, exact_embed, kernel_problem, optimize, rff_population_embedding
 
 KERNEL2 = isotropic_gaussian_kernel(2)
 
@@ -423,11 +425,10 @@ def test_learn_weights_shared_dataset_prefers_spreading():
     ds = AgentDataset(g.normal(size=(6, 2)))
     B = 4
     embs = [embed(ds, params)] * B
-    locals_ = {t: local_features(ds, params) for t in range(B)}
     cfg = ones_config()
-    rows = learn_weights(embs, locals_, cfg)
+    rows = learn_weights(embs, {t: local_features(ds, params) for t in range(B)}, cfg)
     for t, row in enumerate(rows):
-        problem = build_problem(embs, locals_[t], replace(cfg, target_index=t))
+        problem = build_problem(embs, local_features(ds, params), replace(cfg, target_index=t))
         uniform = np.full(B, 1.0 / B)
         e_t = np.zeros(B)
         e_t[t] = 1.0
@@ -440,19 +441,86 @@ def _reference_row(embs, local, cfg, t):
     return optimize(build_problem(embs, local, cfg_t), cfg_t).w
 
 
+def test_cost_row_matches_the_kernel_expansion():
+    # the b row of test_build_problem_matches_the_kernel_expansion, from the
+    # weight step's own target-side function
+    g = np.random.default_rng(16)
+    datasets = [AgentDataset(g.normal(loc=g.normal(), size=(n, 2))) for n in (5, 7, 4, 6)]
+    embs = [embed(ds, POLY2) for ds in datasets]
+    exact = [exact_embed(ds, poly2_kernel(2)) for ds in datasets]
+    V = np.stack([e.v for e in embs])
+    for t in range(len(datasets)):
+        cfg = replace(QaggConfig(c_q=0.8, c_p=1.7, m=3.0), target_index=t)
+        b = qagg.cost_row(local_features(datasets[t], POLY2), V - V[0], t, cfg)
+        np.testing.assert_allclose(kernel_problem(exact, exact[t], cfg).b, b, rtol=1e-8)
+
+
+def test_the_loss_term_less_the_target_trace_is_an_unbiased_kme_error():
+    # for a fixed w over fresh samples, E L(w) = E ||sum_k w_k nu_k - mu_t||^2 + tr Sigma_t / n:
+    # the cost row's 2 w_t tr(Sigma_hat_t) / n_t cancels the target's own noise in
+    # ||sum_k w_k nu_k - nu_t||^2, and mu_t and tr Sigma_t have a closed form under concept shift
+    B, n, d, D, draws = 30, 10, 20, 200, 2000
+    spec = ConceptShiftSpec(sigma_c2=0.3, b=B, n_k=n, d=d, seed=3)
+    datasets, betas, groups = gen_concept_shift(spec)
+    w = baseline_weights(ORACLE, datasets, groups)[0].w
+    params = sample_rff(concept_shift_kernel(d), D, seed=4)
+    mu, trace = rff_population_embedding(params, *concept_shift_law(betas[0], spec.sigma_y2))
+    g = np.random.default_rng(5)
+    beta = np.stack(betas)
+    loss, diag, err = [], [], []
+    for _ in range(draws // 50):
+        X = g.normal(loc=1.0, size=(50, B, n, d))
+        y = np.einsum("rbnd,bd->rbn", X, beta) + np.sqrt(spec.sigma_y2) * g.normal(size=(50, B, n))
+        F = featurize_matrix(params, np.concatenate([X, y[..., None]], axis=-1).reshape(-1, d + 1))
+        F = F.reshape(50, B, n, D)
+        for rows in F:
+            nu = rows.mean(axis=1)
+            b = qagg.cost_row(LocalFeatureSet(kind=RFF, features=rows[0]), nu - nu[0], 0, ones_config())
+            mix = w @ nu
+            loss.append(float(np.sum((mix - nu[0]) ** 2)))
+            diag.append(w[0] * b[0])
+            err.append(float(np.sum((mix - mu) ** 2)))
+    loss, diag, err = np.array(loss), np.array(diag), np.array(err)
+
+    def gap(estimate):  # mean of estimate - err, in standard errors of that mean
+        delta = estimate - err
+        return float(delta.mean() / (delta.std(ddof=1) / math.sqrt(draws)))
+
+    assert abs(gap(loss + diag - trace / n)) < 3.0
+    assert gap(loss - trace / n) < -10.0  # without the cost row's diagonal term
+    assert gap(loss + diag) > 10.0  # without the target's population trace
+
+
+def test_the_weight_step_spends_each_feature_set():
+    # the cost row writes the trace's centred squares over the target's rows:
+    # the features are gone after it, and a second weight step is refused
+    embs, local = _instance(15)
+    F = local.features.copy()
+    learn_weights(embs, {0: local}, ones_config())
+    np.testing.assert_array_equal(local.features, (F - F.mean(axis=0)) ** 2)
+    np.testing.assert_array_equal(local.mean, F.mean(axis=0))
+    with pytest.raises(ValueError, match="overwritten by an earlier weight step"):
+        learn_weights(embs, {0: local}, ones_config())
+    assert not local_features(AgentDataset(np.zeros((3, 2))), POLY2).features.flags.writeable
+    with pytest.raises(ValueError, match="writable C-contiguous float64"):
+        LocalFeatureSet(kind=POLY2, features=np.asfortranarray(np.ones((3, 2))))
+
+
 @pytest.mark.parametrize("kind", ["rff", POLY2])
 def test_learn_weights_rows_match_per_target_reference(kind):
     g = np.random.default_rng(12)
     datasets = [AgentDataset(g.normal(loc=g.normal(), size=(n, 2))) for n in (3, 7, 4, 9, 2, 6)]
     mode = sample_rff(KERNEL2, 24, seed=4) if kind == "rff" else kind
     embs = [embed(ds, mode) for ds in datasets]
-    locals_ = {t: local_features(datasets[t], mode) for t in (3, 0, 5)}
+    targets = (3, 0, 5)
     cfg = ones_config()
-    rows = learn_weights(embs, locals_, cfg)
+    # each weight step spends its feature sets, so every step gets fresh ones
+    rows = learn_weights(embs, {t: local_features(datasets[t], mode) for t in targets}, cfg)
     assert len(rows) == 3
-    for t, row in zip(locals_, rows):
-        np.testing.assert_allclose(row.w, _reference_row(embs, locals_[t], cfg, t), rtol=0.0, atol=1e-12)
-        (alone,) = learn_weights(embs, {t: locals_[t]}, cfg)
+    for t, row in zip(targets, rows):
+        reference = _reference_row(embs, local_features(datasets[t], mode), cfg, t)
+        np.testing.assert_allclose(row.w, reference, rtol=0.0, atol=1e-12)
+        (alone,) = learn_weights(embs, {t: local_features(datasets[t], mode)}, cfg)
         np.testing.assert_array_equal(alone.w, row.w)
 
 
@@ -476,12 +544,12 @@ def test_learn_weights_rows_match_reference_on_edge_cases(B, D, seed, data):
     embs = [embed(ds, params) for ds in datasets]
     order = data.draw(st.permutations(range(B)), label="target order")
     targets = order[: data.draw(st.integers(1, B), label="target count")]
-    locals_ = {t: local_features(datasets[t], params) for t in targets}
     cfg = ones_config(t=200)
-    rows = learn_weights(embs, locals_, cfg)
+    rows = learn_weights(embs, {t: local_features(datasets[t], params) for t in targets}, cfg)
     for t, row in zip(targets, rows):
-        np.testing.assert_allclose(row.w, _reference_row(embs, locals_[t], cfg, t), rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(learn_weights(embs, {t: locals_[t]}, cfg)[0].w, row.w)
+        reference = _reference_row(embs, local_features(datasets[t], params), cfg, t)
+        np.testing.assert_allclose(row.w, reference, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(learn_weights(embs, {t: local_features(datasets[t], params)}, cfg)[0].w, row.w)
 
 
 def test_learn_weights_degenerate_rows_in_one_batch():
