@@ -74,7 +74,6 @@ from .models import (
     FittedModel,
     ModelSpec,
     evaluate,
-    fit_weighted,
 )
 from .qagg import SimplexWeights, default_config, ones_config, theory_config, weights_matrix
 
@@ -436,7 +435,14 @@ def _build_data(cfg: ExperimentConfig, gi: int, rep: int) -> _JobData:
                 f"test file lists agents {list(test_by_id)} but train file lists {list(train_by_id)}; "
                 "both must list the same agent ids in the same order"
             )
-        datasets, test = list(train_by_id.values()), list(test_by_id.values()).__getitem__
+        datasets, tests = list(train_by_id.values()), list(test_by_id.values())
+        if tests[0].dim != datasets[0].dim:
+            # a model fitted on the train file's features cannot score other features
+            raise ValueError(
+                f"test file {cfg.test_path} has {tests[0].dim} feature columns but train file "
+                f"{cfg.train_path} has {datasets[0].dim}; both must have the same feature columns"
+            )
+        test = tests.__getitem__
         groups = list(cfg.groups) if cfg.groups else [0] * len(datasets)
         if len(groups) != len(datasets):
             raise ValueError(f"experiment.groups lists {len(groups)} agents, data has {len(datasets)}")
@@ -511,10 +517,10 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
     for path, rows in distinct.items():
         if not rows:
             continue
-        if path == FEDAVG:
-            fitted = fit_model(pcfg, list(rows.values()), data.datasets)
-        else:
-            fitted = fit_weighted(model_spec, list(rows.values()), data.datasets)
+        fitted = fit_model(
+            path, model_spec, list(rows.values()), data.datasets,
+            rounds=cfg.fedavg_rounds, local_steps=cfg.fedavg_local_steps, lr=cfg.fedavg_lr,
+        )
         _check_finite(cfg, path, fitted)
         models.update(zip(((path, row) for row in rows), fitted))
 

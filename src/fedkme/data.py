@@ -1,11 +1,11 @@
 """Per-agent datasets and the raw-data access audit used by the simulator.
 
-An :class:`AgentDataset` holds one agent's sample matrix: features ``X``
-(n rows, d columns) and an optional label/target column ``y``.  The full
-sample tuple ``Z`` is ``[X, y]`` when labels are present, else ``X`` alone.
-A labeled dataset also offers its augmented second moment
-``[X, 1, y]' [X, 1, y] / n``, formed on first request and cached, which is
-all a squared-loss fit needs of it.
+An :class:`AgentDataset` holds one agent's labeled sample: features ``X``
+(n rows, d columns) and the label/target column ``y``, since every agent's
+risk is a supervised loss.  The full sample tuple ``Z`` is ``[X, y]``.  A
+dataset also offers its augmented second moment ``[X, 1, y]' [X, 1, y] / n``,
+formed on first request and cached, which is all a squared-loss fit needs
+of it.
 
 Reads of the raw arrays are observable through a module-level audit hook;
 the federated simulator uses it to assert that computing one agent's
@@ -49,9 +49,9 @@ def audit_raw_access() -> Iterator[list["AgentDataset"]]:
 
 
 class AgentDataset:
-    """One agent's local sample: features and optional labels."""
+    """One agent's local sample: features and labels."""
 
-    def __init__(self, X, y=None):
+    def __init__(self, X, y):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-d (n, d), got shape {X.shape}")
@@ -59,12 +59,11 @@ class AgentDataset:
             raise ValueError("dataset must contain at least one sample")
         if not np.all(np.isfinite(X)):
             raise ValueError("X contains non-finite entries")
-        if y is not None:
-            y = np.asarray(y, dtype=float).reshape(-1)
-            if y.shape[0] != X.shape[0]:
-                raise ValueError(f"y length {y.shape[0]} != n rows {X.shape[0]}")
-            if not np.all(np.isfinite(y)):
-                raise ValueError("y contains non-finite entries")
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if y.shape[0] != X.shape[0]:
+            raise ValueError(f"y length {y.shape[0]} != n rows {X.shape[0]}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y contains non-finite entries")
         self._X = X
         self._y = y
         self._moments: np.ndarray | None = None
@@ -79,7 +78,7 @@ class AgentDataset:
         return self._X
 
     @property
-    def y(self) -> np.ndarray | None:
+    def y(self) -> np.ndarray:
         self._record()
         return self._y
 
@@ -90,16 +89,10 @@ class AgentDataset:
         datasets are built per job, so the cache never outlives one job.
         """
         if self._moments is None:
-            if self._y is None:
-                raise ValueError("second moments need a labeled dataset")
             Z = np.column_stack([self.X, np.ones(self.n), self.y])
             self._moments = Z.T @ Z / self.n
             self._moments.setflags(write=False)  # shared by every later fit
         return self._moments
-
-    @property
-    def has_labels(self) -> bool:
-        return self._y is not None
 
     @property
     def n(self) -> int:
@@ -110,21 +103,13 @@ class AgentDataset:
         """Feature dimension d (labels excluded)."""
         return self._X.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        """Dimension of the full sample tuple Z = (X, y) or X alone."""
-        return self._X.shape[1] + (1 if self._y is not None else 0)
-
     def z(self, scope: str = "full") -> np.ndarray:
         """Sample matrix for the given scope: "full" tuples or "features" only."""
         if scope == "features":
             return self.X
         if scope == "full":
-            if self._y is None:
-                return self.X
             return np.column_stack([self.X, self.y])
         raise ValueError(f"unknown scope {scope!r}, expected 'full' or 'features'")
 
     def __repr__(self) -> str:
-        lbl = ", labeled" if self._y is not None else ""
-        return f"AgentDataset(n={self.n}, d={self.dim}{lbl})"
+        return f"AgentDataset(n={self.n}, d={self.dim})"

@@ -119,15 +119,12 @@ def featurize_agent(
         dataset: the agent's local sample (non-empty).
         mode: an :class:`RffParams` for the RFF representation, or the
             string "poly2".
-        scope: "full" embeds the (x, y) tuples, "features" only the x part
-            (requires a labeled dataset).
+        scope: "full" embeds the (x, y) tuples, "features" only the x part.
         with_features: also return the :class:`LocalFeatureSet`; otherwise
             the second element is None.
         out: C-contiguous (n, D) rows that receive the RFF feature matrix,
             as for :func:`featurize_matrix`; RFF mode only.
     """
-    if scope == "features" and not dataset.has_labels:
-        raise ValueError("scope='features' requires a dataset with a label column")
     Z = dataset.z(scope)
     local = None
     if isinstance(mode, RffParams):

@@ -8,9 +8,11 @@ learned from the embeddings and the target's own per-point features, and the
 weighted risk is minimized (closed form or FedAvg).
 
 :func:`run_protocol_all` runs steps 1-5 with every agent as a target;
-:func:`run_protocol` is its one-target slice followed by :func:`fit_model`,
-the one closed-form/FedAvg dispatch, which fits any number of weight rows in
-one call, and :func:`charge_fedavg`, which charges one target's FedAvg rounds.
+:func:`run_protocol` is its one-target slice followed by :func:`fit_model`
+and :func:`charge_fedavg`, which charges one target's FedAvg rounds.
+:func:`fit_model` is the one closed-form/FedAvg dispatch: the fit path is its
+argument, so one caller can fit learned rows by FedAvg and baseline rows in
+closed form, and it fits any number of weight rows in one call.
 
 There are no sockets; the ledger is the communication model.  Coefficients
 are "transmitted" by regenerating them from the shared seed, but the ledger
@@ -195,19 +197,21 @@ def _learn(
 
 
 def fit_model(
-    cfg: ProtocolConfig, weights: Sequence[SimplexWeights], datasets: list[AgentDataset],
+    path: str, model: ModelSpec, weights: Sequence[SimplexWeights], datasets: list[AgentDataset],
+    *, rounds: int, local_steps: int, lr: float,
 ) -> list[FittedModel]:
     """Step 6 for each weight row, in one call: the weighted risk minimized in closed form or by FedAvg.
 
-    One model per row, in order.  FedAvg rounds are charged by
-    :func:`charge_fedavg`, once per target, not here.
+    ``path`` is :data:`CLOSED_FORM` or :data:`FEDAVG`; ``rounds``,
+    ``local_steps`` and ``lr`` drive the FedAvg path only.  One model per
+    row, in order.  FedAvg rounds are charged by :func:`charge_fedavg`, once
+    per target, not here.
     """
-    if cfg.optimizer_path != FEDAVG:
-        return fit_weighted(cfg.model, weights, datasets)
-    return fedavg(
-        cfg.model, weights, datasets,
-        rounds=cfg.fedavg_rounds, local_steps=cfg.fedavg_local_steps, lr=cfg.fedavg_lr,
-    )
+    if path == CLOSED_FORM:
+        return fit_weighted(model, weights, datasets)
+    if path == FEDAVG:
+        return fedavg(model, weights, datasets, rounds=rounds, local_steps=local_steps, lr=lr)
+    raise ValueError(f"unknown fit path {path!r}, expected 'closed_form' or 'fedavg'")
 
 
 def charge_fedavg(cfg: ProtocolConfig, weights: SimplexWeights, model: FittedModel, ledger: CommLedger) -> None:
@@ -228,7 +232,10 @@ def charge_fedavg(cfg: ProtocolConfig, weights: SimplexWeights, model: FittedMod
 def run_protocol(cfg: ProtocolConfig, datasets: list[AgentDataset], target: int) -> ProtocolResult:
     """The six protocol steps for one target: the one-target slice of :func:`run_protocol_all`, then the fit."""
     (weights,), ledger = _learn(cfg, datasets, [target])
-    (model,) = fit_model(cfg, [weights], datasets)
+    (model,) = fit_model(
+        cfg.optimizer_path, cfg.model, [weights], datasets,
+        rounds=cfg.fedavg_rounds, local_steps=cfg.fedavg_local_steps, lr=cfg.fedavg_lr,
+    )
     charge_fedavg(cfg, weights, model, ledger)
     return ProtocolResult(weights=weights, model=model, ledger=ledger)
 

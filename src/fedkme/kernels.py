@@ -54,10 +54,6 @@ class KernelSpec:
         elif self.bandwidth is not None:
             raise ValueError("poly2 kernel takes no bandwidth")
 
-    @property
-    def bandwidth_array(self) -> np.ndarray:
-        return np.asarray(self.bandwidth, dtype=float)
-
 
 def gaussian_kernel(bandwidth: Sequence[float]) -> KernelSpec:
     """Weighted Gaussian kernel exp(-sum_j a_j (z_j - z'_j)^2)."""
@@ -88,22 +84,20 @@ def poly2_kernel(ambient_dim: int) -> KernelSpec:
     return KernelSpec(kind=POLY2, ambient_dim=int(ambient_dim))
 
 
-def kernel_bound(spec: KernelSpec, data: AgentDataset | Sequence[AgentDataset] | None = None) -> float:
+def kernel_bound(spec: KernelSpec, datasets: Sequence[AgentDataset]) -> float:
     """Bound M with sup sqrt(kappa(z, z)) <= M over the relevant points.
 
     Gaussian kernels are globally bounded by 1.  Poly2 is unbounded, so M is
-    the maximum of sqrt(kappa(z, z)) = ||z||^2 + 1 over the supplied data.
+    the maximum of sqrt(kappa(z, z)) = ||z||^2 + 1 over the datasets' points:
+    their (x, y) tuples if the kernel's dimension counts the label, else x.
     """
     if spec.kind == GAUSSIAN:
         return 1.0
-    if data is None:
-        raise ValueError("poly2 kernel bound requires data")
-    datasets = [data] if isinstance(data, AgentDataset) else list(data)
     if not datasets:
         raise ValueError("poly2 kernel bound requires at least one dataset")
     best = 0.0
     for ds in datasets:
-        Z = ds.z("full") if ds.ambient_dim == spec.ambient_dim else ds.z("features")
+        Z = ds.z("full") if ds.dim + 1 == spec.ambient_dim else ds.z("features")
         if Z.shape[1] != spec.ambient_dim:
             raise ValueError("dataset dimension does not match kernel ambient_dim")
         best = max(best, float(np.max(np.sum(Z * Z, axis=1) + 1.0)))

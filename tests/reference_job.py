@@ -26,14 +26,21 @@ def job_without_reuse(cfg, gi, rep, with_qagg):
     tests = eager_test_sets(cfg, gi, rep)
     data, pcfg, wrows, ledger = cli._learn_job(cfg, gi, rep)
     metric = models.ACCURACY if cfg.model_kind == models.LOGISTIC_GD else models.MSE
+
+    def fit_one(path, w):
+        return fedsim.fit_model(
+            path, pcfg.model, [w], data.datasets,
+            rounds=pcfg.fedavg_rounds, local_steps=pcfg.fedavg_local_steps, lr=pcfg.fedavg_lr,
+        )[0]
+
     rows = []
     for t, w in enumerate(wrows):
-        (model,) = fedsim.fit_model(pcfg, [w], data.datasets)
+        model = fit_one(pcfg.optimizer_path, w)
         fedsim.charge_fedavg(pcfg, w, model, ledger)
         rows.append(("Qagg", data.params[t], rep, t, models.evaluate(model, tests[t], metric)))
     for policy in cfg.baselines:
         for t, w in enumerate(fedsim.baseline_weights(policy, data.datasets, data.groups)):
-            (model,) = models.fit_weighted(pcfg.model, [w], data.datasets)
+            model = fit_one(fedsim.CLOSED_FORM, w)
             value = models.evaluate(model, tests[t], metric)
             rows.append((cli._METHOD_NAMES[policy], data.params[t], rep, t, value))
     return cli._JobResult(rows, wrows, ledger, None)

@@ -13,7 +13,8 @@ are checked against:
 * squared MMDs by bilinear expansion, and the analytic embedding of a
   Gaussian under poly2 and in RFF coordinates (the concept-shift law of
   (x, y) is Gaussian);
-* the weighted model risk, and the one-target solve of a ``QaggProblem``.
+* the weighted model risk, and the one-target solve of a ``QaggProblem``;
+* :func:`dataset_of`, the dataset whose sample tuples are given rows.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ EXACT = "exact"
 _NEG_TOL = 1e-10
 
 
+def dataset_of(Z) -> AgentDataset:
+    """The labeled dataset whose full-scope sample matrix ``z()`` is ``Z``: its last column is the label."""
+    Z = np.asarray(Z, dtype=float)
+    return AgentDataset(Z[:, :-1], Z[:, -1])
+
+
 def eval_kernel(spec: KernelSpec, z, z2) -> float:
     """Evaluate kappa(z, z2); symmetric in its arguments bit-for-bit."""
     z = np.asarray(z, dtype=float).reshape(-1)
@@ -46,7 +53,7 @@ def eval_kernel(spec: KernelSpec, z, z2) -> float:
         )
     if spec.kind == GAUSSIAN:
         delta = z - z2
-        return float(np.exp(-np.dot(spec.bandwidth_array * delta, delta)))
+        return float(np.exp(-np.dot(np.asarray(spec.bandwidth) * delta, delta)))
     return float((np.dot(z, z2) + 1.0) ** 2)
 
 
@@ -57,7 +64,7 @@ def gram_matrix(spec: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     if Z1.shape[1] != spec.ambient_dim or Z2.shape[1] != spec.ambient_dim:
         raise ValueError("gram_matrix column count must equal ambient_dim")
     if spec.kind == GAUSSIAN:
-        a = spec.bandwidth_array
+        a = np.asarray(spec.bandwidth)
         diff = Z1[:, None, :] - Z2[None, :, :]
         return np.exp(-np.einsum("ijk,k,ijk->ij", diff, a, diff))
     return (Z1 @ Z2.T + 1.0) ** 2

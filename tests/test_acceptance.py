@@ -46,6 +46,7 @@ from fedkme.qagg import (
 )
 from fedkme.rff import sample_rff
 from reference_kme import (
+    dataset_of,
     featurize,
     gram_matrix,
     mmd2,
@@ -73,7 +74,7 @@ def test_A1_poly2_inner_product_three_routes_agree():
             1.0 + 2.0 * Za.mean(axis=0) @ Zb.mean(axis=0) + np.sum((Za.T @ Za / n_a) * (Zb.T @ Zb / n_b))
         )
         double_sum = float(np.mean(gram_matrix(poly2_kernel(d), Za, Zb)))
-        vector_dot = float(embed(AgentDataset(Za), POLY2).v @ embed(AgentDataset(Zb), POLY2).v)
+        vector_dot = float(embed(dataset_of(Za), POLY2).v @ embed(dataset_of(Zb), POLY2).v)
         scale = max(abs(double_sum), 1e-12)
         assert abs(closed - double_sum) <= 1e-10 * scale
         assert abs(vector_dot - double_sum) <= 1e-10 * scale
@@ -105,15 +106,15 @@ def test_A3_trace_and_q_statistic_match_kernel_expansions():
         n1, nk = int(g.integers(3, 11)), int(g.integers(2, 11))
         Z1, Zk = g.normal(size=(n1, d)), g.normal(size=(nk, d))
         spec = poly2_kernel(d)
-        lf = local_features(AgentDataset(Z1), POLY2)
+        lf = local_features(dataset_of(Z1), POLY2)
 
         K11 = gram_matrix(spec, Z1, Z1)
         trace_feat = trace_cov_hat(lf)
         trace_kern = (float(np.trace(K11)) - float(K11.mean()) * n1) / (n1 - 1)
         assert abs(trace_feat - trace_kern) <= 1e-10 * max(1.0, abs(trace_kern))
 
-        nu1 = embed(AgentDataset(Z1), POLY2)
-        nuk = embed(AgentDataset(Zk), POLY2)
+        nu1 = embed(dataset_of(Z1), POLY2)
+        nuk = embed(dataset_of(Zk), POLY2)
         q_feat = q_stat(lf, nuk, nu1)
         # <phi_i, nu_k> via gram rows, then the centered-projection second moment
         K1k = gram_matrix(spec, Z1, Zk)
@@ -173,10 +174,10 @@ def test_A5_identical_agents_aggregate_beats_local_embedding_error():
     agg_err, loc_err = [], []
     for rep in range(100):
         g = np.random.default_rng(rep)
-        datasets = [AgentDataset(scale * g.normal(size=(n, d))) for _ in range(B)]
+        datasets = [dataset_of(scale * g.normal(size=(n, d))) for _ in range(B)]
         embs = [embed(ds, POLY2) for ds in datasets]
         local = local_features(datasets[0], POLY2)
-        m = max(float(np.max(np.sum(ds.X**2, axis=1))) + 1.0 for ds in datasets)
+        m = max(float(np.max(np.sum(ds.z() ** 2, axis=1))) + 1.0 for ds in datasets)
         cfg = replace(ones_config(), m=m)
         w = optimize(build_problem(embs, local, cfg), cfg)
         agg_err.append(mmd2_mixture(w, embs, pop))
@@ -398,7 +399,7 @@ def test_A11_embedding_error_scales_inversely_with_sample_size():
     for _ in range(500):
         for n, acc in ((10, m10), (40, m40)):
             X = mean + g.normal(size=(n, d)) @ L.T
-            acc.append(mmd2(embed(AgentDataset(X), POLY2), pop))
+            acc.append(mmd2(embed(dataset_of(X), POLY2), pop))
     ratio = float(np.mean(m10) / np.mean(m40))
     assert 3.5 <= ratio <= 4.5, f"error ratio n=10 vs n=40 is {ratio:.3f}"
     _budget(t0, 60.0)

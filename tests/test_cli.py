@@ -453,8 +453,8 @@ def test_cmd_weights_fits_no_model(tmp_path, monkeypatch):
         weights_dir.mkdir()
         expected = cmd_run(cfg, run_dir)["weights"].read_bytes()
         with monkeypatch.context() as m:
-            for name in ("fit_model", "evaluate", "fit_weighted"):
-                m.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(f"cmd_weights called {_name}"))
+            for owner, name in ((cli, "fit_model"), (cli, "evaluate"), (fedsim, "fit_weighted"), (fedsim, "fedavg")):
+                m.setattr(owner, name, lambda *args, _name=name, **kwargs: pytest.fail(f"cmd_weights called {_name}"))
             assert cmd_weights(cfg, weights_dir).read_bytes() == expected
 
 
@@ -537,6 +537,22 @@ def test_custom_run_rejects_test_agents_in_another_order(tmp_path, capsys):
     assert "same agent ids in the same order" in err
 
 
+def test_custom_run_rejects_a_test_file_with_other_features(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_protocol_all", lambda *a: pytest.fail("weights learned before the check"))
+    _write_custom(tmp_path, [5, 6, 7])
+    lines = (tmp_path / "test.csv").read_text().splitlines()
+    dropped = [",".join(cell for j, cell in enumerate(r.split(",")) if j != 2) for r in lines]  # x_2
+    (tmp_path / "test.csv").write_text("\n".join(dropped) + "\n")
+    cfg_path = _custom_config(tmp_path)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert _read(tmp_path / "out" / "results.csv")[1:] == [["status", "-1", "0", "-1", "error"]]
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        f"repetition 0 of grid point 0 failed: ValueError: test file {tmp_path / 'test.csv'} has 1 feature "
+        f"columns but train file {tmp_path / 'train.csv'} has 2; both must have the same feature columns"
+    )
+
+
 @pytest.mark.parametrize(
     "experiment",
     [dict(experiment="concept_shift"), dict(experiment="covariate_shift", group_sizes=(2, 2))],
@@ -606,13 +622,27 @@ def test_theory_preset_needs_one_sample_count(tmp_path, capsys):
     assert "the theory preset needs one sample count for every agent, got [6, 8]" in capsys.readouterr().err
 
 
+def test_baseline_resolves_no_weight_program(tmp_path, capsys):
+    # the theory preset cannot be resolved on unequal sample counts, and only the weight step needs it
+    _write_custom(tmp_path, [6, 8, 7])
+    cfg_path = _custom_config(tmp_path, preset="theory")
+    assert main(["baseline", "--config", str(cfg_path), "--out", str(tmp_path / "baseline")]) == 0
+    assert capsys.readouterr().err == ""
+    rows = _read(tmp_path / "baseline" / "results.csv")[1:]
+    assert sorted({r[0] for r in rows}) == ["GrandMean", "Local", "Oracle"]
+    assert len(rows) == 3 * 3 and all(math.isfinite(float(r[4])) for r in rows)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    assert _read(tmp_path / "run" / "results.csv")[1:] == [["status", "-1", "0", "-1", "error"]]
+    assert "the theory preset needs one sample count for every agent, got [6, 7, 8]" in capsys.readouterr().err
+
+
 def _assert_reuse_changes_no_byte(tmp_path, monkeypatch, cfg, paths):
     ref = run_without_reuse(monkeypatch, cfg, tmp_path / "no-reuse")
     for key in ("results", "weights", "comm"):
         assert paths[key].read_bytes() == ref[key].read_bytes(), key
 
 
-_FIT_ENTRY_POINTS = ("fit_weighted", "fedavg", "fit_model")
+_FIT_ENTRY_POINTS = ("fit_weighted", "fedavg")
 
 
 def _counted_run(tmp_path, monkeypatch, cfg, targets):
@@ -644,10 +674,11 @@ def test_run_fits_each_distinct_weight_row_once(tmp_path, monkeypatch):
     B, n_groups = len(wrows), len(set(data.groups))
     assert np.array_equal(weights_matrix(wrows), np.eye(B))  # every Qagg row is e_t
     assert n_groups == 2
-    # the closed-form Qagg and baseline rows are one batch; fedsim.fit_model is the FedAvg path's
     calls, paths = _counted_run(tmp_path, monkeypatch, cfg, [
-        (cli, "fit_weighted"), (fedsim, "fit_weighted"), (cli, "evaluate"), (cli, "baseline_weights"),
+        (cli, "fit_model"), (fedsim, "fit_weighted"), (cli, "evaluate"), (cli, "baseline_weights"),
     ])
+    # the closed-form Qagg and baseline rows are one batch through the one fit dispatch
+    assert calls["fit_model"] == 1
     # one Local model per target (shared with Qagg), one GrandMean, one Oracle per group
     assert calls["fit_weighted"] == B + 1 + n_groups
     # every target's baseline rows come from one call per policy
@@ -677,8 +708,10 @@ def test_fedavg_targets_sharing_a_row_are_each_charged(tmp_path, monkeypatch):
         for t, w in enumerate(fedsim.baseline_weights(policy, data.datasets, data.groups))
     }
     assert len(baseline_scores) < 3 * B  # a one-agent group's Oracle row is its Local row
-    calls, paths = _counted_run(tmp_path, monkeypatch, cfg,
-                                [(cli, "fit_weighted"), (fedsim, "fedavg"), (cli, "evaluate")])
+    calls, paths = _counted_run(tmp_path, monkeypatch, cfg, [
+        (cli, "fit_model"), (fedsim, "fit_weighted"), (fedsim, "fedavg"), (cli, "evaluate"),
+    ])
+    assert calls["fit_model"] == 2  # one call per fit path
     assert calls["fedavg"] == B - 1
     # a FedAvg model is never reused for a closed-form baseline row, not even Local row 2
     assert calls["fit_weighted"] == len({row for row, _ in baseline_scores})

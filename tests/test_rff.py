@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from fedkme import rff
-from fedkme.data import AgentDataset
 from fedkme.embedding import local_features, trace_cov_hat
 from fedkme.kernels import isotropic_gaussian_kernel, poly2_kernel
 from fedkme.rff import RffParams, featurize_matrix, sample_rff
-from reference_kme import eval_kernel, exact_embed, featurize, kernel_trace_cov_hat
+from reference_kme import dataset_of, eval_kernel, exact_embed, featurize, kernel_trace_cov_hat
 
 KERNEL3 = isotropic_gaussian_kernel(3)
 
@@ -128,7 +127,7 @@ def test_average_rff_trace_matches_kernel_trace():
     # mean over independent coefficient draws of the RFF covariance trace
     # approaches the kernel-form trace of the same fixed sample
     g = np.random.default_rng(4)
-    ds = AgentDataset(g.normal(size=(6, 2)))
+    ds = dataset_of(g.normal(size=(6, 2)))
     kernel = isotropic_gaussian_kernel(2)
     exact = kernel_trace_cov_hat(exact_embed(ds, kernel))
     draws = np.array([

@@ -1,9 +1,11 @@
-"""Every public function and class of the package has a caller outside tests.
+"""Every public function, class and class member of the package has a caller outside tests.
 
 A name defined at the top level of ``src/fedkme/*.py`` counts as used when
 some module under ``src/``, ``perfbench/`` or ``demos/`` names it as a Name,
-an Attribute or an import alias, outside the definition itself.  Oracles that
-only tests call belong in ``tests/reference_kme.py``.
+an Attribute or an import alias, outside the definition itself.  A method,
+property or dataclass field of a public class counts as used when such a
+module reads it as an attribute outside its own class's ``__post_init__``.
+Oracles that only tests call belong in ``tests/reference_kme.py``.
 """
 
 import ast
@@ -33,12 +35,17 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
-def test_every_public_definition_has_a_non_test_caller():
-    trees = {
+def _caller_trees() -> dict[Path, ast.Module]:
+    """The parsed modules under ``src/``, ``perfbench/`` and ``demos/``, by path."""
+    return {
         path: ast.parse(path.read_text(), filename=str(path))
         for root in CALLER_DIRS
         for path in sorted(root.rglob("*.py"))
     }
+
+
+def test_every_public_definition_has_a_non_test_caller():
+    trees = _caller_trees()
     names = {path: _referenced_names(tree) for path, tree in trees.items()}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -49,3 +56,51 @@ def test_every_public_definition_has_a_non_test_caller():
             if node.name not in elsewhere | _referenced_names(trees[path], skip=node):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert unused == [], "public definitions with no caller in src/, perfbench/ or demos/: " + ", ".join(unused)
+
+
+# A public class member that nothing reads yet, with the reason it stays.
+KEPT_MEMBERS = {
+    # perfbench/objective.py passes c= and perfbench/common.py sets qagg.step_scale;
+    # ROADMAP item 1 re-points the benchmark, and then the field goes
+    "QaggConfig.c",
+}
+
+
+def _attribute_reads(tree: ast.AST) -> set[tuple[str, ast.ClassDef | None]]:
+    """(name, class) for every attribute the tree reads; class is the one whose ``__post_init__`` holds the read."""
+    reads = set()
+    stack: list[tuple[ast.AST, ast.ClassDef | None]] = [(tree, None)]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add((node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            in_post_init = isinstance(node, ast.ClassDef) and getattr(child, "name", None) == "__post_init__"
+            stack.append((child, node if in_post_init else owner))
+    return reads
+
+
+def test_every_public_class_member_is_read_outside_tests():
+    """Methods, properties and dataclass fields of public classes are read somewhere under src/, perfbench/ or demos/.
+
+    A read inside the class's own ``__post_init__`` (its validation) does not count.
+    """
+    trees = _caller_trees()
+    reads = set().union(*(_attribute_reads(tree) for tree in trees.values()))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                else:
+                    continue
+                if name.startswith("_") or f"{cls.name}.{name}" in KEPT_MEMBERS:
+                    continue
+                if not any(attr == name and owner is not cls for attr, owner in reads):
+                    unread.append(f"{path.relative_to(ROOT)}:{item.lineno} {cls.name}.{name}")
+    assert unread == [], "public class members nothing under src/, perfbench/ or demos/ reads: " + ", ".join(unread)
