@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -92,135 +93,96 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration (exit code 1)."""
 
 
+def _key(name: str, default):
+    """A config field whose value is read from and written to the line ``name = value``."""
+    return field(default=default, metadata={"key": name})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat bag of every experiment knob; defaults reproduce the full-scale
-    concept-shift setup (100 agents, 10 samples each, 20 features)."""
+    concept-shift setup (100 agents, 10 samples each, 20 features).
 
-    experiment: str = CONCEPT
-    grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    repetitions: int = 100
-    test_size: int = 1000
-    train_path: str = ""
-    test_path: str = ""
-    groups: tuple[int, ...] = ()
-    agents: int = 100
-    samples_per_agent: int = 10
-    dim: int = 20
-    noise_var: float = 2.0
-    group_sizes: tuple[int, ...] = (30, 30)
-    center_var1: float = 0.01
-    center_var2: float = 0.3
-    group_var1: float = 1.0
-    group_var2: float = 1.0
-    group2_center: float = 2.0
-    kernel_kind: str = GAUSSIAN
-    bandwidth: str = "concept"
-    d_rff: int = 500
-    scope: str = "full"
-    optimizer: str = CLOSED_FORM
-    fedavg_rounds: int = 200
-    fedavg_local_steps: int = 5
-    fedavg_lr: float = 0.05
-    preset: str = "default"
-    c_q: float = 1.0
-    c_p: float = 1.0
-    steps: int = 1000
-    step_scale: float = 0.5
-    model_kind: str = "ridge"
-    ridge_penalty: float = 0.0
-    model_lr: float = 0.1
-    model_epochs: int = 100
-    baselines: tuple[str, ...] = (LOCAL, GRAND_MEAN, ORACLE)
-    seed: int = 0
-    output_dir: str = "out"
+    Each field declares its dotted config key, and its annotated type gives
+    the value's syntax: a str, int or float, or a comma-separated tuple of one.
+    """
 
-
-# (config key, field name, value codec)
-_SCHEMA = (
-    ("experiment.kind", "experiment", "str"),
-    ("experiment.grid", "grid", "floats"),
-    ("experiment.repetitions", "repetitions", "int"),
-    ("experiment.test_size", "test_size", "int"),
-    ("experiment.train_path", "train_path", "str"),
-    ("experiment.test_path", "test_path", "str"),
-    ("experiment.groups", "groups", "ints"),
-    ("data.agents", "agents", "int"),
-    ("data.samples_per_agent", "samples_per_agent", "int"),
-    ("data.dim", "dim", "int"),
-    ("data.noise_var", "noise_var", "float"),
-    ("data.group_sizes", "group_sizes", "ints"),
-    ("data.center_var1", "center_var1", "float"),
-    ("data.center_var2", "center_var2", "float"),
-    ("data.group_var1", "group_var1", "float"),
-    ("data.group_var2", "group_var2", "float"),
-    ("data.group2_center", "group2_center", "float"),
-    ("kernel.kind", "kernel_kind", "str"),
-    ("kernel.bandwidth", "bandwidth", "str"),
-    ("protocol.random_features", "d_rff", "int"),
-    ("protocol.scope", "scope", "str"),
-    ("protocol.optimizer", "optimizer", "str"),
-    ("protocol.fedavg_rounds", "fedavg_rounds", "int"),
-    ("protocol.fedavg_local_steps", "fedavg_local_steps", "int"),
-    ("protocol.fedavg_lr", "fedavg_lr", "float"),
-    ("qagg.preset", "preset", "str"),
-    ("qagg.c_q", "c_q", "float"),
-    ("qagg.c_p", "c_p", "float"),
-    ("qagg.steps", "steps", "int"),
-    ("qagg.step_scale", "step_scale", "float"),
-    ("model.kind", "model_kind", "str"),
-    ("model.ridge_penalty", "ridge_penalty", "float"),
-    ("model.learning_rate", "model_lr", "float"),
-    ("model.epochs", "model_epochs", "int"),
-    ("baselines", "baselines", "strs"),
-    ("seed", "seed", "int"),
-    ("output_dir", "output_dir", "str"),
-)
+    experiment: str = _key("experiment.kind", CONCEPT)
+    grid: tuple[float, ...] = _key("experiment.grid", (0.0, 0.25, 0.5, 0.75, 1.0))
+    repetitions: int = _key("experiment.repetitions", 100)
+    test_size: int = _key("experiment.test_size", 1000)
+    train_path: str = _key("experiment.train_path", "")
+    test_path: str = _key("experiment.test_path", "")
+    groups: tuple[int, ...] = _key("experiment.groups", ())
+    agents: int = _key("data.agents", 100)
+    samples_per_agent: int = _key("data.samples_per_agent", 10)
+    dim: int = _key("data.dim", 20)
+    noise_var: float = _key("data.noise_var", 2.0)
+    group_sizes: tuple[int, ...] = _key("data.group_sizes", (30, 30))
+    center_var1: float = _key("data.center_var1", 0.01)
+    center_var2: float = _key("data.center_var2", 0.3)
+    group_var1: float = _key("data.group_var1", 1.0)
+    group_var2: float = _key("data.group_var2", 1.0)
+    group2_center: float = _key("data.group2_center", 2.0)
+    kernel_kind: str = _key("kernel.kind", GAUSSIAN)
+    bandwidth: str = _key("kernel.bandwidth", "concept")
+    d_rff: int = _key("protocol.random_features", 500)
+    scope: str = _key("protocol.scope", "full")
+    optimizer: str = _key("protocol.optimizer", CLOSED_FORM)
+    fedavg_rounds: int = _key("protocol.fedavg_rounds", 200)
+    fedavg_local_steps: int = _key("protocol.fedavg_local_steps", 5)
+    fedavg_lr: float = _key("protocol.fedavg_lr", 0.05)
+    preset: str = _key("qagg.preset", "default")
+    c_q: float = _key("qagg.c_q", 1.0)
+    c_p: float = _key("qagg.c_p", 1.0)
+    steps: int = _key("qagg.steps", 1000)
+    step_scale: float = _key("qagg.step_scale", 0.5)
+    model_kind: str = _key("model.kind", "ridge")
+    ridge_penalty: float = _key("model.ridge_penalty", 0.0)
+    model_lr: float = _key("model.learning_rate", 0.1)
+    model_epochs: int = _key("model.epochs", 100)
+    baselines: tuple[str, ...] = _key("baselines", (LOCAL, GRAND_MEAN, ORACLE))
+    seed: int = _key("seed", 0)
+    output_dir: str = _key("output_dir", "out")
 
 
-def _encode(value, codec: str) -> str:
-    if codec == "str":
-        return str(value)
-    if codec == "int":
-        return str(int(value))
-    if codec == "float":
-        return repr(float(value))
-    if codec == "floats":
-        return ",".join(repr(float(v)) for v in value)
-    if codec == "ints":
-        return ",".join(str(int(v)) for v in value)
-    if codec == "strs":
-        return ",".join(value)
-    raise AssertionError(codec)
+_SCALARS = (str, int, float)
 
 
-def _decode(text: str, codec: str, key: str):
+def _syntax(name: str, annotation) -> tuple[type, bool]:
+    """A field's value syntax from its annotation: (scalar type, whether the value is a comma-separated tuple)."""
+    if annotation in _SCALARS:
+        return annotation, False
+    args = get_args(annotation)
+    if get_origin(annotation) is tuple and len(args) == 2 and args[0] in _SCALARS and args[1] is Ellipsis:
+        return args[0], True
+    raise TypeError(f"ExperimentConfig.{name} is annotated {annotation!r}, which has no config syntax")
+
+
+_SYNTAX = {name: _syntax(name, hint) for name, hint in get_type_hints(ExperimentConfig).items()}
+
+
+def _encode(value, kind: type, many: bool) -> str:
+    # str(float) is its shortest round-tripping repr
+    return ",".join(str(kind(v)) for v in value) if many else str(kind(value))
+
+
+def _decode(text: str, kind: type, many: bool, key: str):
     try:
-        if codec == "str":
-            return text
-        if codec == "int":
-            return int(text)
-        if codec == "float":
-            return float(text)
-        tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
-        if codec == "floats":
-            return tuple(float(tok) for tok in tokens)
-        if codec == "ints":
-            return tuple(int(tok) for tok in tokens)
-        if codec == "strs":
-            return tuple(tokens)
+        if many:
+            return tuple(kind(tok) for tok in map(str.strip, text.split(",")) if tok)
+        return kind(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from None
-    raise AssertionError(codec)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = [f"{key} = {_encode(getattr(cfg, field), codec)}" for key, field, codec in _SCHEMA]
+    lines = [f"{f.metadata['key']} = {_encode(getattr(cfg, f.name), *_SYNTAX[f.name])}" for f in fields(cfg)]
     return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    by_key = {key: (field, codec) for key, field, codec in _SCHEMA}
+    by_key = {f.metadata["key"]: f.name for f in fields(ExperimentConfig)}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -232,10 +194,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in by_key:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        field, codec = by_key[key]
-        if field in values:
+        name = by_key[key]
+        if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[field] = _decode(value.strip(), codec, key)
+        values[name] = _decode(value.strip(), *_SYNTAX[name], key)
     cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg
@@ -254,6 +216,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not cond:
             raise ConfigError(message)
 
+    # an inf or nan passes or fails the range checks below without naming its key
+    for f in fields(cfg):
+        kind, many = _SYNTAX[f.name]
+        value = getattr(cfg, f.name)
+        if kind is float and not all(map(math.isfinite, value if many else (value,))):
+            raise ConfigError(f"{f.metadata['key']} must be finite, got {_encode(value, kind, many)}")
     need(cfg.experiment in (CONCEPT, COVARIATE, CUSTOM), f"unknown experiment.kind {cfg.experiment!r}")
     need(cfg.repetitions >= 1, "experiment.repetitions must be at least 1")
     need(len(cfg.grid) >= 1, "experiment.grid must be non-empty")
@@ -280,7 +248,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if cfg.bandwidth == "concept":
             need(cfg.scope == "full", "the concept bandwidth embeds (x, y) pairs; protocol.scope must be 'full'")
         elif cfg.bandwidth != "isotropic":
-            values = _decode(cfg.bandwidth, "floats", "kernel.bandwidth")
+            values = _decode(cfg.bandwidth, float, True, "kernel.bandwidth")
+            need(all(map(math.isfinite, values)), f"kernel.bandwidth must be finite, got {cfg.bandwidth}")
             need(len(values) > 0 and all(v > 0 for v in values), "explicit bandwidths must be positive")
         need(cfg.d_rff >= 1, "protocol.random_features must be at least 1")
     need(cfg.optimizer in (CLOSED_FORM, FEDAVG), f"unknown protocol.optimizer {cfg.optimizer!r}")
@@ -312,7 +281,7 @@ def _resolve_kernel(cfg: ExperimentConfig, dim: int) -> KernelSpec:
         return concept_shift_kernel(dim)
     if cfg.bandwidth == "isotropic":
         return isotropic_gaussian_kernel(ambient)
-    values = _decode(cfg.bandwidth, "floats", "kernel.bandwidth")
+    values = _decode(cfg.bandwidth, float, True, "kernel.bandwidth")
     if len(values) != ambient:
         raise ConfigError(f"kernel.bandwidth has {len(values)} entries but the embedded points have {ambient}")
     return gaussian_kernel(values)

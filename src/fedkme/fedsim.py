@@ -35,11 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import AgentDataset, audit_raw_access
-from .embedding import POLY2, Embedding, featurize_agent
+from .embedding import POLY2, featurize_agent
 from .kernels import GAUSSIAN, KernelSpec, kernel_bound
 from .models import FittedModel, ModelSpec, fedavg, fit_weighted
 from .qagg import QaggConfig, SimplexWeights, learn_weights
-from .rff import RffParams, sample_rff
+from .rff import sample_rff
 
 CLOSED_FORM = "closed_form"
 FEDAVG = "fedavg"
@@ -117,39 +117,6 @@ class ProtocolResult(NamedTuple):
     ledger: CommLedger
 
 
-def _charge_gamma(ledger: CommLedger, cfg: ProtocolConfig, mode, n_agents: int) -> None:
-    if not isinstance(mode, RffParams):
-        return
-    payload = cfg.d_rff * (cfg.kernel.ambient_dim + 1)  # W rows plus phases
-    ledger.log_each(["sampling"], "server", [f"agent_{k}" for k in range(n_agents)], "rff_coefficients", payload)
-
-
-def _kme_payload(emb: Embedding) -> int:
-    if emb.kind == POLY2:
-        return emb.v.size - 1  # the lift's leading 1 is not sent: p means and p(p+1)/2 moments
-    return emb.v.size
-
-
-def _weight_cfg(cfg: ProtocolConfig, mode, datasets) -> QaggConfig:
-    if isinstance(mode, RffParams):
-        return cfg.qagg
-    # poly2 bound is data-dependent: each agent contributes its local scalar
-    return replace(cfg.qagg, m=kernel_bound(cfg.kernel, datasets))
-
-
-def _target_rows(mode, datasets: list[AgentDataset], targets: list[int]) -> dict[int, np.ndarray]:
-    """Each target's row range of one (sum of n_t, D) block that holds every target's RFF features.
-
-    One allocation per job instead of one per target; empty on the poly2 path.
-    """
-    if not isinstance(mode, RffParams):
-        return {}
-    sizes = [datasets[t].n for t in targets]
-    block = np.empty((sum(sizes), mode.D))
-    ends = np.cumsum(sizes)
-    return {t: block[end - n:end] for t, n, end in zip(targets, sizes, ends)}
-
-
 def _learn(
     cfg: ProtocolConfig, datasets: list[AgentDataset], targets: list[int],
 ) -> tuple[list[SimplexWeights], CommLedger]:
@@ -158,7 +125,8 @@ def _learn(
     Each agent featurizes its sample once: the mean is its embedding, and a
     target keeps the matrix, in its rows of one shared block, before the
     raw-data audit window opens.  :func:`learn_weights` spends the targets'
-    feature sets: it overwrites their rows.
+    feature sets: it overwrites their rows.  Each ledger count is the size
+    of the array that is sent.
     """
     B = len(datasets)
     if B < 1:
@@ -170,10 +138,24 @@ def _learn(
             raise ValueError(f"agent {t} needs at least two samples to act as a target")
 
     ledger = CommLedger()
-    mode = sample_rff(cfg.kernel, cfg.d_rff, cfg.seed) if cfg.kernel.kind == GAUSSIAN else POLY2
-    _charge_gamma(ledger, cfg, mode, B)
-    # a target's per-point features are its own local computation
-    feature_rows = _target_rows(mode, datasets, targets)
+    if cfg.kernel.kind == GAUSSIAN:
+        mode = sample_rff(cfg.kernel, cfg.d_rff, cfg.seed)
+        ledger.log_each(
+            ["sampling"], "server", [f"agent_{k}" for k in range(B)], "rff_coefficients", mode.W.size + mode.b.size,
+        )
+        # a target's per-point features are its own local computation, in its
+        # row range of one block that holds every target's: one allocation per job
+        sizes = [datasets[t].n for t in targets]
+        block = np.empty((sum(sizes), mode.D))
+        feature_rows = {t: block[end - n:end] for t, n, end in zip(targets, sizes, np.cumsum(sizes))}
+        qcfg, uploads = cfg.qagg, lambda v: [("kme", v.size)]
+    else:
+        mode, feature_rows = POLY2, {}
+        # the poly2 bound is data-dependent: each agent sends its local scalar
+        qcfg = replace(cfg.qagg, m=kernel_bound(cfg.kernel, datasets))
+        # the lift's leading 1 is a constant, not sent: p means and p(p+1)/2 moments
+        uploads = lambda v: [("kme", v[1:].size), ("kernel_bound", 1)]
+
     kept = set(targets)
     pairs = [
         featurize_agent(ds, mode, cfg.embedding_scope, with_features=k in kept, out=feature_rows.get(k))
@@ -184,11 +166,9 @@ def _learn(
     for k, emb in enumerate(embeddings):
         if targets == [k]:
             continue  # the only target's embedding never leaves it
-        ledger.log("kme_upload", f"agent_{k}", "server", "kme", _kme_payload(emb))
-        if not isinstance(mode, RffParams):
-            ledger.log("kme_upload", f"agent_{k}", "server", "kernel_bound", 1)
+        for kind, count in uploads(emb.v):
+            ledger.log("kme_upload", f"agent_{k}", "server", kind, count)
 
-    qcfg = _weight_cfg(cfg, mode, datasets)
     with audit_raw_access() as log:
         rows = learn_weights(embeddings, locals_, qcfg)
     if log:

@@ -1,6 +1,7 @@
 """Config parsing, the four subcommands, and exit-code behavior."""
 
 import csv
+import dataclasses
 import inspect
 import math
 import os
@@ -63,6 +64,98 @@ def test_serialize_parse_round_trip():
     covariate = replace(TINY, experiment="covariate_shift", grid=(0.0,), group_sizes=(1, 1))
     for cfg in (ExperimentConfig(), TINY, covariate):
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+# every field away from its default, the list fields with several entries
+ALL_FIELDS = ExperimentConfig(
+    experiment="custom", grid=(0.1, 0.5), repetitions=3, test_size=7,
+    train_path="data/train.csv", test_path="data/test.csv", groups=(0, 1, 1),
+    agents=3, samples_per_agent=4, dim=2, noise_var=1.5, group_sizes=(1, 2),
+    center_var1=0.02, center_var2=0.4, group_var1=1.25, group_var2=0.75, group2_center=-1.0,
+    kernel_kind="poly2", bandwidth="0.5,1.5,2", d_rff=64, scope="features",
+    optimizer="fedavg", fedavg_rounds=7, fedavg_local_steps=2, fedavg_lr=0.025,
+    preset="manual", c_q=0.5, c_p=2.5, steps=300, step_scale=0.25,
+    model_kind="linear_gd", ridge_penalty=0.125, model_lr=0.05, model_epochs=20,
+    baselines=("oracle", "local"), seed=2**64 - 1, output_dir="runs/all",
+)
+
+
+def test_every_field_has_one_key_and_round_trips_in_field_order():
+    config_fields = dataclasses.fields(ExperimentConfig)
+    assert all(getattr(ALL_FIELDS, f.name) != f.default for f in config_fields)
+    keys = [f.metadata["key"] for f in config_fields]
+    assert all(isinstance(key, str) and key for key in keys)
+    assert len(set(keys)) == len(keys)
+    text = serialize_config(ALL_FIELDS)
+    assert [line.split(" = ", 1)[0] for line in text.splitlines()] == keys
+    assert parse_config(text) == ALL_FIELDS
+
+
+@pytest.mark.parametrize("key, text", [("experiment.groups", "0,x,1"), ("experiment.grid", "0.5,half")])
+def test_a_bad_list_token_names_its_key(key, text):
+    with pytest.raises(ConfigError, match=f"bad value for {key}"):
+        parse_config(f"{key} = {text}\n")
+
+
+def test_a_field_type_without_config_syntax_is_rejected():
+    for annotation in (list[int], tuple[int, int], tuple[bool, ...], dict):
+        with pytest.raises(TypeError, match="no config syntax"):
+            cli._syntax("field", annotation)
+
+
+_DEFAULT_TEXT = (
+    "experiment.kind = concept_shift", "experiment.grid = 0.0,0.25,0.5,0.75,1.0",
+    "experiment.repetitions = 100", "experiment.test_size = 1000",
+    "experiment.train_path = ", "experiment.test_path = ", "experiment.groups = ",
+    "data.agents = 100", "data.samples_per_agent = 10", "data.dim = 20", "data.noise_var = 2.0",
+    "data.group_sizes = 30,30", "data.center_var1 = 0.01", "data.center_var2 = 0.3",
+    "data.group_var1 = 1.0", "data.group_var2 = 1.0", "data.group2_center = 2.0",
+    "kernel.kind = gaussian", "kernel.bandwidth = concept",
+    "protocol.random_features = 500", "protocol.scope = full", "protocol.optimizer = closed_form",
+    "protocol.fedavg_rounds = 200", "protocol.fedavg_local_steps = 5", "protocol.fedavg_lr = 0.05",
+    "qagg.preset = default", "qagg.c_q = 1.0", "qagg.c_p = 1.0", "qagg.steps = 1000", "qagg.step_scale = 0.5",
+    "model.kind = ridge", "model.ridge_penalty = 0.0", "model.learning_rate = 0.1", "model.epochs = 100",
+    "baselines = local,grand_mean,oracle", "seed = 0", "output_dir = out",
+)
+_ALL_FIELDS_TEXT = (
+    "experiment.kind = custom", "experiment.grid = 0.1,0.5",
+    "experiment.repetitions = 3", "experiment.test_size = 7",
+    "experiment.train_path = data/train.csv", "experiment.test_path = data/test.csv", "experiment.groups = 0,1,1",
+    "data.agents = 3", "data.samples_per_agent = 4", "data.dim = 2", "data.noise_var = 1.5",
+    "data.group_sizes = 1,2", "data.center_var1 = 0.02", "data.center_var2 = 0.4",
+    "data.group_var1 = 1.25", "data.group_var2 = 0.75", "data.group2_center = -1.0",
+    "kernel.kind = poly2", "kernel.bandwidth = 0.5,1.5,2",
+    "protocol.random_features = 64", "protocol.scope = features", "protocol.optimizer = fedavg",
+    "protocol.fedavg_rounds = 7", "protocol.fedavg_local_steps = 2", "protocol.fedavg_lr = 0.025",
+    "qagg.preset = manual", "qagg.c_q = 0.5", "qagg.c_p = 2.5", "qagg.steps = 300", "qagg.step_scale = 0.25",
+    "model.kind = linear_gd", "model.ridge_penalty = 0.125", "model.learning_rate = 0.05", "model.epochs = 20",
+    "baselines = oracle,local", "seed = 18446744073709551615", "output_dir = runs/all",
+)
+
+
+@pytest.mark.parametrize("cfg, lines", [(ExperimentConfig(), _DEFAULT_TEXT), (ALL_FIELDS, _ALL_FIELDS_TEXT)])
+def test_serialize_config_bytes_are_fixed(cfg, lines):
+    assert serialize_config(cfg) == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (dict(ridge_penalty=math.inf), "model.ridge_penalty"),
+        (dict(preset="manual", c_q=math.inf), "qagg.c_q"),
+        (dict(bandwidth="inf,1,1,1"), "kernel.bandwidth"),
+        (dict(noise_var=math.inf), "data.noise_var"),
+        (dict(experiment="covariate_shift", grid=(0.0,), group_sizes=(1, 1), group2_center=math.nan),
+         "data.group2_center"),
+        (dict(grid=(0.5, math.nan)), "experiment.grid"),
+    ],
+)
+def test_a_non_finite_float_is_a_config_error_naming_its_key(tmp_path, capsys, overrides, key):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(serialize_config(replace(TINY, **overrides)))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_accepts_comments_and_blank_lines():
