@@ -14,6 +14,9 @@ config.  ``fedkme run`` writes three files into the output directory:
     weights.csv   learned weight matrix of the first grid point, repetition 0
     comm.csv      communication ledger of that same repetition
 
+A synthetic results.csv value is the target's exact population risk; a
+custom one is the MSE or accuracy on the target's rows of the test file.
+
 A repetition that raises is recorded as a single status row (method
 ``status``, value ``error``), its exception is printed as one stderr line,
 and the run continues.  All rows are buffered and sorted before writing, so
@@ -28,6 +31,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
@@ -38,8 +42,8 @@ from .data import AgentDataset
 from .datagen import (
     ConceptShiftSpec,
     CovariateShiftSpec,
-    concept_shift_test_sets,
-    covariate_shift_test_sets,
+    concept_shift_moments,
+    covariate_shift_moments,
     gen_concept_shift,
     gen_covariate_shift,
     load_csv_agents,
@@ -75,6 +79,7 @@ from .models import (
     FittedModel,
     ModelSpec,
     evaluate,
+    moment_risk,
 )
 from .qagg import SimplexWeights, default_config, ones_config, theory_config, weights_matrix
 
@@ -110,6 +115,7 @@ class ExperimentConfig:
     experiment: str = _key("experiment.kind", CONCEPT)
     grid: tuple[float, ...] = _key("experiment.grid", (0.0, 0.25, 0.5, 0.75, 1.0))
     repetitions: int = _key("experiment.repetitions", 100)
+    # validated but read by no job: a synthetic job scores by exact risk, and a custom one on its test file
     test_size: int = _key("experiment.test_size", 1000)
     train_path: str = _key("experiment.train_path", "")
     test_path: str = _key("experiment.test_path", "")
@@ -244,13 +250,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         need(bool(cfg.test_path), "custom experiment needs experiment.test_path")
     need(cfg.kernel_kind in (GAUSSIAN, POLY2), f"unknown kernel.kind {cfg.kernel_kind!r}")
     need(cfg.scope in ("full", "features"), "protocol.scope must be 'full' or 'features'")
+    if cfg.bandwidth not in ("concept", "isotropic"):
+        # an explicit diagonal is checked under every kernel, though only the Gaussian reads it
+        values = _decode(cfg.bandwidth, float, True, "kernel.bandwidth")
+        need(all(map(math.isfinite, values)), f"kernel.bandwidth must be finite, got {cfg.bandwidth}")
+        need(len(values) > 0 and all(v > 0 for v in values), "explicit bandwidths must be positive")
     if cfg.kernel_kind == GAUSSIAN:
         if cfg.bandwidth == "concept":
             need(cfg.scope == "full", "the concept bandwidth embeds (x, y) pairs; protocol.scope must be 'full'")
-        elif cfg.bandwidth != "isotropic":
-            values = _decode(cfg.bandwidth, float, True, "kernel.bandwidth")
-            need(all(map(math.isfinite, values)), f"kernel.bandwidth must be finite, got {cfg.bandwidth}")
-            need(len(values) > 0 and all(v > 0 for v in values), "explicit bandwidths must be positive")
         need(cfg.d_rff >= 1, "protocol.random_features must be at least 1")
     need(cfg.optimizer in (CLOSED_FORM, FEDAVG), f"unknown protocol.optimizer {cfg.optimizer!r}")
     need(cfg.fedavg_rounds >= 0, "protocol.fedavg_rounds must be non-negative")
@@ -316,8 +323,7 @@ def _resolve_model(cfg: ExperimentConfig, data: _JobData) -> ModelSpec:
                 raise ConfigError(f"model.kind = logistic_gd needs labels 0, 1, 2, ...; agent {k} has label {bad[0]:g}")
         top = max(int(np.max(ds.y)) for ds in data.datasets)
         classes = max(2, top + 1)
-        for k in range(len(data.datasets)):
-            ds = data.test(k)
+        for k, ds in enumerate(data.tests):
             bad = ds.y[(ds.y < 0) | (ds.y >= classes) | (ds.y != np.rint(ds.y))]
             if bad.size:
                 raise ConfigError(
@@ -350,7 +356,8 @@ def _protocol_config(cfg: ExperimentConfig, data: _JobData, seed: int) -> Protoc
 
 class _JobData(NamedTuple):
     datasets: list[AgentDataset]
-    test: Callable[[int], AgentDataset]  # target t's held-out set; a synthetic one is drawn on each call
+    tests: list[AgentDataset]  # a custom run's test sets, by agent; a synthetic job has none
+    scorer: Callable[[int], Callable[[FittedModel], float]]  # target t's score of a model, its results.csv value
     groups: list[int]
     params: list[float]  # results.csv param column, one entry per target
 
@@ -373,26 +380,28 @@ def _synthetic_spec(cfg: ExperimentConfig, gi: int, rep: int) -> ConceptShiftSpe
 
 
 def _build_data(cfg: ExperimentConfig, gi: int, rep: int) -> _JobData:
-    """One job's training sets, and its held-out sets as a per-target accessor.
+    """One job's training sets, and its scoring as a per-target scorer.
 
-    A synthetic held-out set is drawn from its agent's own stream when it is
-    asked for, through this module's name of the datagen function, so a job
-    that scores target by target holds one set at a time.
+    A synthetic target scores a model by its exact risk under the target's
+    own law, from the law's augmented second moment, so no held-out row is
+    drawn and ``experiment.test_size`` is not read.  A custom target scores
+    a model on its rows of the test file.
     """
+    tests: list[AgentDataset] = []
     if cfg.experiment == CONCEPT:
         spec = _synthetic_spec(cfg, gi, rep)
         datasets, betas, groups = gen_concept_shift(spec)
 
-        def test(t: int) -> AgentDataset:
-            return concept_shift_test_sets(spec, betas, cfg.test_size, [t])[0]
+        def scorer(t: int) -> Callable[[FittedModel], float]:
+            return partial(moment_risk, moment=concept_shift_moments(spec, betas, [t])[0])
 
         params = [cfg.grid[gi]] * cfg.agents
     elif cfg.experiment == COVARIATE:
         spec = _synthetic_spec(cfg, gi, rep)
         datasets, groups = gen_covariate_shift(spec)
 
-        def test(t: int) -> AgentDataset:
-            return covariate_shift_test_sets(spec, cfg.test_size, [t])[0]
+        def scorer(t: int) -> Callable[[FittedModel], float]:
+            return partial(moment_risk, moment=covariate_shift_moments(spec, [t])[0])
 
         params = [float(g) for g in groups]
     else:
@@ -411,12 +420,16 @@ def _build_data(cfg: ExperimentConfig, gi: int, rep: int) -> _JobData:
                 f"test file {cfg.test_path} has {tests[0].dim} feature columns but train file "
                 f"{cfg.train_path} has {datasets[0].dim}; both must have the same feature columns"
             )
-        test = tests.__getitem__
+        metric = ACCURACY if cfg.model_kind == LOGISTIC_GD else MSE
+
+        def scorer(t: int) -> Callable[[FittedModel], float]:
+            return partial(evaluate, test=tests[t], metric=metric)
+
         groups = list(cfg.groups) if cfg.groups else [0] * len(datasets)
         if len(groups) != len(datasets):
             raise ValueError(f"experiment.groups lists {len(groups)} agents, data has {len(datasets)}")
         params = [float(g) for g in groups]
-    return _JobData(datasets, test, groups, params)
+    return _JobData(datasets, tests, scorer, groups, params)
 
 
 class _JobResult(NamedTuple):
@@ -450,16 +463,14 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
 
     Weight rows repeat within a job (a vertex Qagg row is that target's Local
     row, every GrandMean row is the same), so each distinct (fit path, weight
-    row) is fitted once and each distinct (model, target) is evaluated once.
+    row) is fitted once and each distinct (model, target) is scored once.
     The job collects every row first and fits each path's distinct rows in
     one call; then it charges FedAvg per Qagg target, in target order, and
-    scores target by target: a target's held-out set is drawn, scores every
-    distinct model of that target's rows, and is released before the next
-    target's set is drawn, so the job holds one held-out set at a time.
-    Fitting and evaluation are deterministic, and a row's model does not
-    depend on the other rows of its call, so reuse changes no output byte.
+    scores target by target through the target's scorer.  Fitting and
+    scoring are deterministic, a row's model does not depend on the other
+    rows of its call, and a model's score does not depend on the other
+    models scored, so reuse changes no output byte.
     """
-    metric = ACCURACY if cfg.model_kind == LOGISTIC_GD else MSE
     if with_qagg:
         data, pcfg, wrows, ledger = _learn_job(cfg, gi, rep)
         model_spec = pcfg.model
@@ -502,10 +513,9 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
     values: dict[tuple[tuple[str, bytes], int], float] = {}
     for t, keys in enumerate(scored):
         if keys:
-            test = data.test(t)
+            score = data.scorer(t)
             for key in keys:
-                values[key, t] = evaluate(models[key], test, metric)
-            del test  # released before the next target's set is drawn
+                values[key, t] = score(models[key])
     rows = [(method, data.params[t], rep, t, values[key, t]) for method, t, key in entries]
     return _JobResult(rows, wrows, ledger, None)
 

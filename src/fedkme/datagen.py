@@ -20,9 +20,22 @@ and U([-6, 6]^d).
 
 All draws flow through named, per-agent seed streams, so regenerating any
 agent (or its held-out test set) is deterministic and order-independent.
-The test-set functions draw the sets of the agents they are asked for, so a
-caller can draw one agent's set when it scores that agent and release it
-before drawing the next: the bits are those of the all-agents draw.
+The test-set functions draw the sets of the agents they are asked for, and
+agent k's set has the same bits whether it is drawn alone or among others.
+
+Each agent's law also has a closed-form augmented second moment
+M = E[z z'] with z = (x, 1, y), in the layout of
+:meth:`AgentDataset.moments`, so a linear model's population risk needs no
+held-out draw.  Under concept shift it follows from beta_k and sigma_Y^2.
+Under covariate shift the coordinates of x are independent, and every
+moment of y = sum_j h_j(x_j) + noise is a sum of one-coordinate moments:
+
+    E sin 3x   = sin(3m) e^{-9s^2/2},
+    E x sin 3x = (m sin 3m + 3s^2 cos 3m) e^{-9s^2/2},
+    E sin^2 3x = (1 - cos(6m) e^{-18s^2}) / 2
+
+for x ~ N(m, s^2), the Gaussian moments up to order 4, and the same
+integrals over U[-6, 6] in closed form.
 """
 
 from __future__ import annotations
@@ -42,6 +55,8 @@ _CONCEPT_TASK = "concept-task"
 _CONCEPT_DRAW = "concept-draw"
 _COVSHIFT_MEAN = "covshift-mean"
 _COVSHIFT_DRAW = "covshift-draw"
+_COVSHIFT_NOISE_SD = 0.2  # the shared conditional law's noise, variance 0.04
+_UNIFORM_HALF_WIDTH = 6.0  # the third covariate group is U([-6, 6]^d)
 TRAIN = 0  # draw-stream index for training sets
 TEST = 1  # draw-stream index for held-out test sets
 
@@ -106,6 +121,35 @@ def concept_shift_test_sets(
     return [_concept_sample(spec, k, betas[k], n_test, TEST) for k in ks]
 
 
+def _augmented_moment(mean: np.ndarray, var: np.ndarray, xy: np.ndarray, y: float, yy: float) -> np.ndarray:
+    """E[z z'] for z = (x, 1, y), from E x and the variances of x's independent coordinates, E[x y], E y and E y^2."""
+    d = mean.size
+    M = np.empty((d + 2, d + 2))
+    head = np.append(mean, 1.0)
+    M[:-1, :-1] = np.outer(head, head)
+    M[range(d), range(d)] += var
+    M[:-1, -1] = M[-1, :-1] = np.append(xy, y)
+    M[-1, -1] = yy
+    return M
+
+
+def concept_shift_moments(
+    spec: ConceptShiftSpec, betas: list[np.ndarray], agents: Sequence[int] | None = None,
+) -> list[np.ndarray]:
+    """Population augmented second moments of ``agents`` (default: every agent), in that order.
+
+    Under x ~ N(1, I) and y = x'beta_k + N(0, sigma_Y^2): E[x y] = 1 (1'beta_k)
+    + beta_k, and E y^2 = (1'beta_k)^2 + ||beta_k||^2 + sigma_Y^2.
+    """
+    ks = range(spec.b) if agents is None else agents
+    ones = np.ones(spec.d)
+    moments = []
+    for k in ks:
+        beta, total = betas[k], float(np.sum(betas[k]))
+        moments.append(_augmented_moment(ones, ones, total + beta, total, total * total + beta @ beta + spec.sigma_y2))
+    return moments
+
+
 @dataclass(frozen=True)
 class CovariateShiftSpec:
     """Covariate-shift generator parameters (three feature groups)."""
@@ -165,12 +209,12 @@ def _covariate_sample(spec: CovariateShiftSpec, k: int, n: int, split: int) -> A
     group = spec.group_of(k)
     g = rng.stream(spec.seed, _COVSHIFT_DRAW, k, split)
     if group == 2:
-        X = g.uniform(-6.0, 6.0, size=(n, spec.d))
+        X = g.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=(n, spec.d))
     else:
         mu_k = _covariate_mean(spec, k)
         scale = np.sqrt(spec.sigma1_sq if group == 0 else spec.sigma2_sq)
         X = mu_k + scale * g.normal(size=(n, spec.d))
-    y = covariate_response(X, 0.2 * g.normal(size=n))  # noise variance 0.04
+    y = covariate_response(X, _COVSHIFT_NOISE_SD * g.normal(size=n))
     return AgentDataset(X, y)
 
 
@@ -186,6 +230,46 @@ def covariate_shift_test_sets(
     """Held-out sets of ``agents`` (default: every agent), in that order, from each agent's own feature law."""
     ks = range(spec.b) if agents is None else agents
     return [_covariate_sample(spec, k, n_test, TEST) for k in ks]
+
+
+def _covariate_moment(spec: CovariateShiftSpec, k: int) -> np.ndarray:
+    """Agent k's population augmented second moment under the shared conditional law."""
+    d, group = spec.d, spec.group_of(k)
+    # per coordinate: E x, Var x, E x^3 and E x^4; for x_1 also E sin 3x, E x sin 3x and E cos 6x
+    if group == 2:
+        a = _UNIFORM_HALF_WIDTH
+        m, var = np.zeros(d), np.full(d, a * a / 3.0)
+        m3, m4 = np.zeros(d), np.full(d, a**4 / 5.0)
+        sin3, x_sin3 = 0.0, -math.cos(3.0 * a) / 3.0 + math.sin(3.0 * a) / (9.0 * a)
+        cos6 = math.sin(6.0 * a) / (6.0 * a)
+    else:
+        m = _covariate_mean(spec, k)
+        s2 = spec.sigma1_sq if group == 0 else spec.sigma2_sq
+        var = np.full(d, s2)
+        m3, m4 = m**3 + 3.0 * m * s2, m**4 + 6.0 * m**2 * s2 + 3.0 * s2 * s2
+        damp = math.exp(-4.5 * s2)
+        sin3 = math.sin(3.0 * m[0]) * damp
+        x_sin3 = (m[0] * math.sin(3.0 * m[0]) + 3.0 * s2 * math.cos(3.0 * m[0])) * damp
+        cos6 = math.cos(6.0 * m[0]) * math.exp(-18.0 * s2)
+    m2 = m * m + var
+    # y = sum_j h_j(x_j) + noise with h_1 = sin 3x, h_2 = x^2 / 2 and h_j = x / 10 beyond:
+    # E h_j, E h_j^2 and E x_j h_j for each coordinate
+    h = np.concatenate([[sin3, 0.5 * m2[1]], 0.1 * m[2:]])
+    h_sq = np.concatenate([[(1.0 - cos6) / 2.0, 0.25 * m4[1]], 0.01 * m2[2:]])
+    x_h = np.concatenate([[x_sin3, 0.5 * m3[1]], 0.1 * m2[2:]])
+    y = float(h.sum())
+    yy = y * y + float(np.sum(h_sq - h * h)) + _COVSHIFT_NOISE_SD**2
+    return _augmented_moment(m, var, x_h + m * (y - h), y, yy)
+
+
+def covariate_shift_moments(spec: CovariateShiftSpec, agents: Sequence[int] | None = None) -> list[np.ndarray]:
+    """Population augmented second moments of ``agents`` (default: every agent), in that order.
+
+    A Gaussian agent's mean is drawn from the stream its training set uses, so
+    each moment is that of the law the agent's samples come from.
+    """
+    ks = range(spec.b) if agents is None else agents
+    return [_covariate_moment(spec, k) for k in ks]
 
 
 def write_csv(datasets: list[AgentDataset], path) -> None:

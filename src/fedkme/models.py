@@ -309,6 +309,21 @@ def _fedavg_rounds(lam, S, r, share, rounds, local_steps, lr) -> np.ndarray:
     return theta
 
 
+def moment_risk(model: FittedModel, moment: np.ndarray) -> float:
+    """Squared loss of a linear model under a law with augmented second moment ``moment``.
+
+    ``moment`` is E[z z'] with z = (x, 1, y), in the layout of
+    :meth:`AgentDataset.moments`, so E (x'theta + c - y)^2 = u' M u with
+    u = (theta, c, -1).  Under a population moment this is the exact risk;
+    under a dataset's own moments it is that dataset's MSE, up to rounding.
+    A call scores one model, so no model's score depends on another's.
+    """
+    if model.spec.kind == LOGISTIC_GD:
+        raise ValueError("MSE is undefined for classifiers")
+    u = np.append(model.coefficients, (model.intercept, -1.0))
+    return float(u @ (moment @ u))
+
+
 def evaluate(model: FittedModel, test: AgentDataset, metric: str) -> float:
     """Test-set MSE or accuracy."""
     if test.n < 1:

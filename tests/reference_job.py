@@ -1,31 +1,37 @@
-"""A reference ``fedkme run`` job: every row fitted, charged and evaluated on its own.
+"""A reference ``fedkme run`` job: every row fitted, charged and scored on its own.
 
 ``cli._run_job`` fits each distinct weight row of a job once, in one batched
-call per fit path, and draws each target's held-out set when it scores that
-target.  This job fits one row per call, reuses nothing, and draws every
-held-out set up front through datagen's all-agents form, so a run with it in
+call per fit path, and forms each target's scorer when it scores that
+target.  This job fits one row per call, reuses nothing, and forms every
+target's scorer up front, through datagen's all-agents form of the
+population moments (or every test set of a custom run), so a run with it in
 place of ``cli._run_job`` must write the same bytes.
 """
+
+from functools import partial
 
 from fedkme import cli, datagen, fedsim, models
 
 
-def eager_test_sets(cfg, gi, rep):
-    """Every held-out set of one job, drawn (or loaded) at once, in agent order."""
+def eager_scorers(cfg, gi, rep):
+    """Every target's scorer of one job, formed at once, in agent order."""
     if cfg.experiment == cli.CONCEPT:
         spec = cli._synthetic_spec(cfg, gi, rep)
         _, betas, _ = datagen.gen_concept_shift(spec)
-        return datagen.concept_shift_test_sets(spec, betas, cfg.test_size)
-    if cfg.experiment == cli.COVARIATE:
-        return datagen.covariate_shift_test_sets(cli._synthetic_spec(cfg, gi, rep), cfg.test_size)
-    return list(datagen.load_csv_agents(cfg.test_path).values())
+        moments = datagen.concept_shift_moments(spec, betas)
+    elif cfg.experiment == cli.COVARIATE:
+        moments = datagen.covariate_shift_moments(cli._synthetic_spec(cfg, gi, rep))
+    else:
+        metric = models.ACCURACY if cfg.model_kind == models.LOGISTIC_GD else models.MSE
+        tests = datagen.load_csv_agents(cfg.test_path).values()
+        return [partial(models.evaluate, test=test, metric=metric) for test in tests]
+    return [partial(models.moment_risk, moment=moment) for moment in moments]
 
 
 def job_without_reuse(cfg, gi, rep, with_qagg):
-    """The job loop as if no weight row repeated: one fit, charge and evaluation per target and method."""
-    tests = eager_test_sets(cfg, gi, rep)
+    """The job loop as if no weight row repeated: one fit, charge and score per target and method."""
+    scorers = eager_scorers(cfg, gi, rep)
     data, pcfg, wrows, ledger = cli._learn_job(cfg, gi, rep)
-    metric = models.ACCURACY if cfg.model_kind == models.LOGISTIC_GD else models.MSE
 
     def fit_one(path, w):
         return fedsim.fit_model(
@@ -37,12 +43,11 @@ def job_without_reuse(cfg, gi, rep, with_qagg):
     for t, w in enumerate(wrows):
         model = fit_one(pcfg.optimizer_path, w)
         fedsim.charge_fedavg(pcfg, w, model, ledger)
-        rows.append(("Qagg", data.params[t], rep, t, models.evaluate(model, tests[t], metric)))
+        rows.append(("Qagg", data.params[t], rep, t, scorers[t](model)))
     for policy in cfg.baselines:
         for t, w in enumerate(fedsim.baseline_weights(policy, data.datasets, data.groups)):
             model = fit_one(fedsim.CLOSED_FORM, w)
-            value = models.evaluate(model, tests[t], metric)
-            rows.append((cli._METHOD_NAMES[policy], data.params[t], rep, t, value))
+            rows.append((cli._METHOD_NAMES[policy], data.params[t], rep, t, scorers[t](model)))
     return cli._JobResult(rows, wrows, ledger, None)
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedkme import cli, fedsim
+from fedkme import cli, datagen, fedsim
 from fedkme.cli import (
     ConfigError,
     ExperimentConfig,
@@ -148,6 +148,7 @@ def test_serialize_config_bytes_are_fixed(cfg, lines):
         (dict(experiment="covariate_shift", grid=(0.0,), group_sizes=(1, 1), group2_center=math.nan),
          "data.group2_center"),
         (dict(grid=(0.5, math.nan)), "experiment.grid"),
+        (dict(kernel_kind="poly2", bandwidth="inf,1,1,1"), "kernel.bandwidth"),  # checked though poly2 reads none
     ],
 )
 def test_a_non_finite_float_is_a_config_error_naming_its_key(tmp_path, capsys, overrides, key):
@@ -211,6 +212,8 @@ def test_load_config_missing_file(tmp_path):
         dict(experiment="custom", train_path=""),
         dict(test_size=0),
         dict(seed=-1),
+        dict(kernel_kind="poly2", bandwidth="junk"),
+        dict(kernel_kind="poly2", bandwidth="1,0,1,1"),
     ],
 )
 def test_validate_config_rejects(bad):
@@ -299,18 +302,18 @@ def test_cmd_run_seed_changes_results(tmp_path):
 
 
 def _count_draws(monkeypatch):
-    """A counter of (job data seed, agent) over every held-out set drawn through cli's datagen names."""
+    """A counter of (job data seed, agent) over every held-out set drawn from datagen's test streams."""
     drawn = Counter()
-    for name in ("concept_shift_test_sets", "covariate_shift_test_sets"):
-        original = getattr(cli, name)
+    for name in ("_concept_sample", "_covariate_sample"):
+        original = getattr(datagen, name)
 
         def counted(*args, _original=original, **kwargs):
             bound = inspect.signature(_original).bind(*args, **kwargs).arguments
-            spec, agents = bound["spec"], bound.get("agents")
-            drawn.update((spec.seed, k) for k in (range(spec.b) if agents is None else agents))
+            if bound["split"] == datagen.TEST:
+                drawn[bound["spec"].seed, bound["k"]] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(datagen, name, counted)
     return drawn
 
 
@@ -319,24 +322,27 @@ def _count_draws(monkeypatch):
     [TINY, replace(TINY, experiment="covariate_shift", grid=(0.0,), group_sizes=(1, 1))],
     ids=["concept_shift", "covariate_shift"],
 )
-def test_each_target_held_out_set_is_drawn_once_per_job_and_only_to_score(tmp_path, monkeypatch, cfg):
+def test_no_synthetic_command_draws_a_held_out_set(tmp_path, monkeypatch, cfg):
     drawn = _count_draws(monkeypatch)
+    spec = cli._synthetic_spec(cfg, 0, 0)
+    if cfg.experiment == "covariate_shift":
+        datagen.covariate_shift_test_sets(spec, 5, [1])
+    else:
+        datagen.concept_shift_test_sets(spec, datagen.gen_concept_shift(spec)[1], 5, [1])
+    assert drawn == Counter({(spec.seed, 1): 1})  # the counter sees a draw
+    drawn.clear()
     cmd_gen(cfg, tmp_path)
     cmd_weights(cfg, tmp_path)
-    assert not drawn  # neither reads a held-out set
-    jobs = [(gi, rep) for gi in range(len(cfg.grid)) for rep in range(cfg.repetitions)]
-    expected = Counter({(cli._synthetic_spec(cfg, gi, rep).seed, t): 1 for gi, rep in jobs for t in range(cfg.agents)})
     for command in (cmd_run, cmd_baseline):
-        drawn.clear()
         out = tmp_path / command.__name__
         out.mkdir()
         command(cfg, out)
-        assert drawn == expected, command.__name__
+    assert not drawn  # every synthetic target is scored by its exact risk
 
 
-def test_a_job_holds_one_held_out_set_at_a_time():
-    cfg = replace(TINY, agents=40, test_size=4000, dim=20, grid=(0.5,), repetitions=1)
-    held_out_bytes = cfg.agents * cfg.test_size * (cfg.dim + 1) * 8  # 25.6 MiB of (x, y) rows in all
+def test_a_jobs_memory_does_not_grow_with_the_test_size():
+    cfg = replace(TINY, agents=40, test_size=100_000, dim=20, grid=(0.5,), repetitions=1)
+    one_set_bytes = cfg.test_size * (cfg.dim + 1) * 8  # 16 MiB of (x, y) rows
     tracemalloc.start()
     try:
         result = cli._run_job(cfg, 0, 0, True)
@@ -344,7 +350,7 @@ def test_a_job_holds_one_held_out_set_at_a_time():
     finally:
         tracemalloc.stop()
     assert len(result.rows) == 4 * cfg.agents
-    assert peak < held_out_bytes / 4, f"traced peak {peak / 2**20:.1f} MiB"
+    assert peak < one_set_bytes / 4, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(
@@ -546,7 +552,8 @@ def test_cmd_weights_fits_no_model(tmp_path, monkeypatch):
         weights_dir.mkdir()
         expected = cmd_run(cfg, run_dir)["weights"].read_bytes()
         with monkeypatch.context() as m:
-            for owner, name in ((cli, "fit_model"), (cli, "evaluate"), (fedsim, "fit_weighted"), (fedsim, "fedavg")):
+            for owner, name in ((cli, "fit_model"), (cli, "evaluate"), (cli, "moment_risk"),
+                                (fedsim, "fit_weighted"), (fedsim, "fedavg")):
                 m.setattr(owner, name, lambda *args, _name=name, **kwargs: pytest.fail(f"cmd_weights called {_name}"))
             assert cmd_weights(cfg, weights_dir).read_bytes() == expected
 
@@ -768,7 +775,7 @@ def test_run_fits_each_distinct_weight_row_once(tmp_path, monkeypatch):
     assert np.array_equal(weights_matrix(wrows), np.eye(B))  # every Qagg row is e_t
     assert n_groups == 2
     calls, paths = _counted_run(tmp_path, monkeypatch, cfg, [
-        (cli, "fit_model"), (fedsim, "fit_weighted"), (cli, "evaluate"), (cli, "baseline_weights"),
+        (cli, "fit_model"), (fedsim, "fit_weighted"), (cli, "moment_risk"), (cli, "baseline_weights"),
     ])
     # the closed-form Qagg and baseline rows are one batch through the one fit dispatch
     assert calls["fit_model"] == 1
@@ -776,8 +783,8 @@ def test_run_fits_each_distinct_weight_row_once(tmp_path, monkeypatch):
     assert calls["fit_weighted"] == B + 1 + n_groups
     # every target's baseline rows come from one call per policy
     assert calls["baseline_weights"] == len(cfg.baselines)
-    # a target's Qagg and Local rows share a model and a test set
-    assert calls["evaluate"] == 3 * B
+    # a target's Qagg and Local rows share a model and its score
+    assert calls["moment_risk"] == 3 * B
     _assert_reuse_changes_no_byte(tmp_path, monkeypatch, cfg, paths)
 
 
@@ -802,14 +809,14 @@ def test_fedavg_targets_sharing_a_row_are_each_charged(tmp_path, monkeypatch):
     }
     assert len(baseline_scores) < 3 * B  # a one-agent group's Oracle row is its Local row
     calls, paths = _counted_run(tmp_path, monkeypatch, cfg, [
-        (cli, "fit_model"), (fedsim, "fit_weighted"), (fedsim, "fedavg"), (cli, "evaluate"),
+        (cli, "fit_model"), (fedsim, "fit_weighted"), (fedsim, "fedavg"), (cli, "moment_risk"),
     ])
     assert calls["fit_model"] == 2  # one call per fit path
     assert calls["fedavg"] == B - 1
     # a FedAvg model is never reused for a closed-form baseline row, not even Local row 2
     assert calls["fit_weighted"] == len({row for row, _ in baseline_scores})
-    # targets 0 and 1 share a FedAvg model but not a test set
-    assert calls["evaluate"] == B + len(baseline_scores)
+    # targets 0 and 1 share a FedAvg model but not a score
+    assert calls["moment_risk"] == B + len(baseline_scores)
     trips = [r for r in _read(paths["comm"])[1:] if r[3] == "model_round_trip"]
     support = [int(np.count_nonzero(w.w)) for w in wrows]
     assert len(trips) == cfg.fedavg_rounds * sum(support)  # target 1 is charged for its rounds too

@@ -1,19 +1,25 @@
-"""Synthetic generators and CSV ingestion."""
+"""Synthetic generators, their exact population moments, and CSV ingestion."""
+
+import math
 
 import numpy as np
 import pytest
 
+from fedkme.data import AgentDataset
 from fedkme.datagen import (
     ConceptShiftSpec,
     CovariateShiftSpec,
+    concept_shift_moments,
     concept_shift_test_sets,
     covariate_response,
+    covariate_shift_moments,
     covariate_shift_test_sets,
     gen_concept_shift,
     gen_covariate_shift,
     load_csv_agents,
     write_csv,
 )
+from fedkme.models import LINEAR_GD, RIDGE, ModelSpec, evaluate, fit_weighted, moment_risk
 from fedkme.rng import stream
 
 
@@ -201,6 +207,93 @@ def test_covariate_determinism_and_test_split():
     # agents 0, 2 and 5 are one of each group; each set drawn alone is the bits of that set drawn among all
     _assert_same_sets([covariate_shift_test_sets(spec, 9, [k])[0] for k in range(6)], tests)
     _assert_same_sets(covariate_shift_test_sets(spec, 9, [5, 2, 0]), [tests[5], tests[2], tests[0]])
+
+
+_SETS, _ROWS = 200, 500  # sampled held-out sets per model, and rows per set
+_MODELS = [ModelSpec(kind=RIDGE, lam=0.1), ModelSpec(kind=LINEAR_GD, lr=0.02, epochs=200)]
+
+
+def _assert_sampled_mean_matches(model, exact, drawn, label):
+    # the test MSE over fresh sets averages to the exact risk; each set is
+    # every _SETS-th row of one draw from the agent's test stream, so the sets are independent
+    X, y = drawn.X, drawn.y
+    mse = np.array([evaluate(model, AgentDataset(X[i::_SETS], y[i::_SETS]), "mse") for i in range(_SETS)])
+    stderr = mse.std(ddof=1) / math.sqrt(_SETS)
+    assert abs(mse.mean() - exact) < 4.0 * stderr, f"{label}: sampled {mse.mean():.4f} +- {stderr:.4f}, exact {exact:.4f}"
+
+
+def _fits(datasets, k):
+    # the agent's own model and the grand-mean model, under each squared-loss kind
+    rows = [np.eye(len(datasets))[k], np.ones(len(datasets))]
+    return [(spec.kind, model) for spec in _MODELS for model in fit_weighted(spec, rows, datasets)]
+
+
+def test_concept_shift_moments_give_each_models_exact_risk():
+    spec = ConceptShiftSpec(sigma_c2=0.3, b=6, n_k=15, d=6, sigma_y2=1.5, seed=21)
+    datasets, betas, _ = gen_concept_shift(spec)
+    moments = concept_shift_moments(spec, betas)
+    for k in (0, 3):
+        drawn = concept_shift_test_sets(spec, betas, _SETS * _ROWS, [k])[0]
+        for kind, model in _fits(datasets, k):
+            exact = moment_risk(model, moments[k])
+            theta, c = model.coefficients, model.intercept
+            direct = spec.sigma_y2 + np.sum((betas[k] - theta) ** 2) + (np.sum(betas[k] - theta) - c) ** 2
+            assert abs(exact - direct) <= 1e-12 * direct
+            assert exact >= spec.sigma_y2 * (1.0 - 1e-12)
+            _assert_sampled_mean_matches(model, exact, drawn, f"agent {k}, {kind}")
+
+
+def test_covariate_shift_moments_give_each_models_exact_risk():
+    # unequal group variances, and d = 5 for the linear coordinates beyond x_2
+    spec = CovariateShiftSpec(b=6, n_k=40, d=5, k1=2, k2=2, sigma1_sq=0.5, sigma2_sq=1.5, seed=22)
+    datasets, groups = gen_covariate_shift(spec)
+    moments = covariate_shift_moments(spec)
+    for k in (0, 2, 5):  # one agent of each group: two Gaussian, one uniform
+        drawn = covariate_shift_test_sets(spec, _SETS * _ROWS, [k])[0]
+        for kind, model in _fits(datasets, k):
+            exact = moment_risk(model, moments[k])
+            assert exact >= 0.04 * (1.0 - 1e-12)  # the noise variance bounds every model's risk
+            _assert_sampled_mean_matches(model, exact, drawn, f"agent {k} of group {groups[k]}, {kind}")
+
+
+def test_covariate_shift_moments_match_quadrature():
+    # every entry of E[z z'] by tensor-product Gauss quadrature over x's law: Hermite nodes
+    # for a Gaussian coordinate, Legendre nodes for a uniform one; this resolves terms such as
+    # cos(6m) e^{-18s^2} that sit far below the sampling noise of a held-out set
+    spec = CovariateShiftSpec(b=3, n_k=5, d=3, k1=1, k2=1, sigma1_sq=0.3, sigma2_sq=0.8, seed=24)
+    groups = [spec.group_of(k) for k in range(spec.b)]
+    for k, moment in enumerate(covariate_shift_moments(spec)):
+        if groups[k] == 2:
+            nodes, weights = np.polynomial.legendre.leggauss(120)
+            nodes, weights = [6.0 * nodes] * spec.d, weights / 2.0
+        else:
+            nodes, weights = np.polynomial.hermite_e.hermegauss(60)
+            # the agent's mean, from the stream its training set is drawn around
+            draw = stream(spec.seed, "covshift-mean", k).normal(size=spec.d)
+            if groups[k] == 0:
+                mean, scale = math.sqrt(spec.v1_sq) * draw, math.sqrt(spec.sigma1_sq)
+            else:
+                mean, scale = np.array(spec.mu0) + math.sqrt(spec.v2_sq) * draw, math.sqrt(spec.sigma2_sq)
+            nodes, weights = [m + scale * nodes for m in mean], weights / math.sqrt(2.0 * math.pi)
+        X = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1).reshape(-1, spec.d)
+        w = np.prod(np.meshgrid(*[weights] * spec.d, indexing="ij"), axis=0).ravel()
+        Z = np.column_stack([X, np.ones(len(X)), covariate_response(X, 0.0)])
+        quad = (Z * w[:, None]).T @ Z
+        quad[-1, -1] += 0.04
+        np.testing.assert_allclose(moment, quad, rtol=1e-10, atol=1e-10, err_msg=f"agent {k}")
+
+
+def test_moments_of_one_agent_are_the_bits_of_all_agents():
+    concept = ConceptShiftSpec(sigma_c2=0.5, b=5, n_k=3, d=4, seed=23)
+    _, betas, _ = gen_concept_shift(concept)
+    covariate = CovariateShiftSpec(b=6, n_k=3, d=3, k1=2, k2=2, seed=23)
+    for every, one in (
+        (concept_shift_moments(concept, betas), lambda k: concept_shift_moments(concept, betas, [k])[0]),
+        (covariate_shift_moments(covariate), lambda k: covariate_shift_moments(covariate, [k])[0]),
+    ):
+        for k, moment in enumerate(every):
+            assert moment.tobytes() == one(k).tobytes()
+            np.testing.assert_array_equal(moment, moment.T)
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):

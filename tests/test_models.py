@@ -17,6 +17,7 @@ from fedkme.models import (
     evaluate,
     fedavg,
     fit_weighted,
+    moment_risk,
     weighted_gradient,
 )
 from fedkme.qagg import SimplexWeights
@@ -489,6 +490,17 @@ def test_evaluate_accuracy_of_constant_classifier():
     spec = ModelSpec(kind=LOGISTIC_GD, classes=2)
     biased = FittedModel(np.zeros((2, 2)), np.array([1.0, 0.0]), spec)
     assert evaluate(biased, test, ACCURACY) == pytest.approx(0.5, abs=0.05)
+
+
+def test_moment_risk_under_a_datasets_own_moments_is_its_mse():
+    agents = _regression_agents(21, B=2, n=40)
+    for spec in (ModelSpec(kind=RIDGE, lam=0.3), ModelSpec(kind=LINEAR_GD, lr=0.05, epochs=30)):
+        for model in fit_weighted(spec, [np.array([1.0, 0.0]), np.array([0.5, 0.5])], agents):
+            for ds in agents:
+                assert moment_risk(model, ds.moments()) == pytest.approx(evaluate(model, ds, MSE), rel=1e-12)
+    clf = FittedModel(np.zeros((4, 2)), np.zeros(2), ModelSpec(kind=LOGISTIC_GD))
+    with pytest.raises(ValueError, match="undefined for classifiers"):
+        moment_risk(clf, agents[0].moments())
 
 
 def test_evaluate_metric_mismatch():
