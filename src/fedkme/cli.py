@@ -259,13 +259,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if cfg.bandwidth == "concept":
             need(cfg.scope == "full", "the concept bandwidth embeds (x, y) pairs; protocol.scope must be 'full'")
         need(cfg.d_rff >= 1, "protocol.random_features must be at least 1")
+    if cfg.experiment != CUSTOM:
+        # a custom run's dimension comes from its file, so its jobs check the bandwidth's length
+        _resolve_kernel(cfg, cfg.dim)
     need(cfg.optimizer in (CLOSED_FORM, FEDAVG), f"unknown protocol.optimizer {cfg.optimizer!r}")
     need(cfg.fedavg_rounds >= 0, "protocol.fedavg_rounds must be non-negative")
     need(cfg.fedavg_local_steps >= 1, "protocol.fedavg_local_steps must be at least 1")
     need(cfg.fedavg_lr > 0, "protocol.fedavg_lr must be positive")
     need(cfg.preset in ("default", "ones", "theory", "manual"), f"unknown qagg.preset {cfg.preset!r}")
-    if cfg.preset == "manual":
-        need(cfg.c_q > 0 and cfg.c_p > 0, "manual preset needs positive qagg.c_q and qagg.c_p")
+    # checked under every preset, though only manual reads them
+    need(cfg.c_q > 0 and cfg.c_p > 0, "qagg.c_q and qagg.c_p must be positive")
     need(cfg.steps >= 1, "qagg.steps must be at least 1")
     need(cfg.step_scale > 0, "qagg.step_scale must be positive")
     need(cfg.model_kind in ("ridge", "linear_gd", "logistic_gd"), f"unknown model.kind {cfg.model_kind!r}")

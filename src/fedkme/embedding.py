@@ -11,8 +11,9 @@ what the weight learner reads:
 
 Either way an agent shares a finite summary and never its sample.  The
 covariance trace and the q statistics that the weight learner consumes are
-computed in feature space: the trace here, and q for every peer at once in
-:func:`fedkme.qagg.cost_row` (:func:`q_stat` is its one-peer form).
+computed here, in feature space, from a target's per-point features:
+:func:`trace_cov_hat` and :func:`q_stat`, which gives q for every peer at
+once; :func:`fedkme.qagg.cost_row` calls both.
 """
 
 from __future__ import annotations
@@ -171,19 +172,16 @@ def trace_cov_hat(local: LocalFeatureSet, out: np.ndarray | None = None) -> floa
     return float(np.sum(centered)) / (n - 1)
 
 
-def q_stat(local: LocalFeatureSet, nu_k: Embedding, nu_1: Embedding) -> float:
-    """Directional variance q_k = (1/(n-1)) sum_i <Phi_i - nu_1, nu_k - nu_1>^2.
+def q_stat(local: LocalFeatureSet, directions: np.ndarray) -> np.ndarray:
+    """Directional variances q = (1/(n-1)) sum_i <Phi_i - mean, u>^2, one for each row u of ``directions``.
 
-    Equals <nu_1 - nu_k, Sigma_hat_1 (nu_1 - nu_k)> since Sigma_hat_1 carries
-    the 1/(n-1) factor.  The projections are centred on the feature mean,
-    which is nu_1 when the embeddings were built from the same sample.
+    With u = nu_k - nu_t this is q_k = <u, Sigma_hat_t u>, since Sigma_hat_t
+    carries the 1/(n-1) factor.  The projections are centred on the feature
+    mean, which is nu_t when the embeddings were built from the same sample.
     """
     n = local.n
     if n < 2:
         raise ValueError("q statistic needs at least two samples")
-    if nu_k.kind != local.kind or nu_1.kind != local.kind:
-        raise ValueError("embedding representation does not match local features")
-    u = nu_k.v - nu_1.v
-    proj = local.features @ u
-    proj -= proj.mean()
-    return float(np.sum(proj * proj)) / (n - 1)
+    proj = local.features @ directions.T
+    proj -= proj.mean(axis=0)
+    return (proj * proj).sum(axis=0) / (n - 1)

@@ -28,15 +28,17 @@ returned: identical agents get equal weight, and the zero program gives the
 uniform vector.  ``QaggConfig.t`` caps the number of steps; reaching the cap
 raises ``ArithmeticError``, as does a non-finite entry of A or b.
 
-Every target's program shares the Gram matrix G_{kl} = <nu_k, nu_l>, and
-:func:`learn_weights` assembles G once and forms each target's
-A_t = G - G_t - G_t' + G_tt from it, target by target, so a target's weights
-are the same bits whether it is solved alone or with all the others.  The
-target side of the program is :func:`cost_row`: b_t needs the target's own
-feature rows, for q_k and tr(Sigma_t), and they have no reader after it, so
-it writes the trace's centred squares over them instead of into a scratch
-array.  A weight step then holds no (n_t x D) array besides the features.
-:func:`build_problem` is the explicit one-target form of the same program.
+Every target's program shares the Gram matrix G_{kl} = <nu_k - nu_0, nu_l - nu_0>,
+which is assembled once, and each target's A_t = G - G_t - G_t' + G_tt is
+formed from it, target by target, so a target's weights are the same bits
+whether it is solved alone or with all the others.  The target side of the
+program is :func:`cost_row`: b_t needs the target's own feature rows, for
+q_k and tr(Sigma_t), and they have no reader after it, so it writes the
+trace's centred squares over them instead of into a scratch array.  A weight
+step then holds no (n_t x D) array besides the features.  The program is
+assembled in one place: :func:`learn_weights` solves every target's, and
+:func:`build_problem` returns one target's as a :class:`QaggProblem`, the
+same A_t and b_t bit for bit.
 """
 
 from __future__ import annotations
@@ -165,42 +167,53 @@ def operator_norm(A: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(A)[-1])
 
 
-def build_problem(embs: list[Embedding], local: LocalFeatureSet, cfg: QaggConfig) -> QaggProblem:
-    """Assemble the quadratic form for one target agent.
-
-    ``embs`` holds every agent's embedding (target included at
-    ``cfg.target_index``); ``local`` holds the target's per-point features.
-    """
+def _check(embs: list[Embedding], locals_: dict[int, LocalFeatureSet]) -> None:
+    """Raise ValueError unless every target in ``locals_`` has a program over ``embs``."""
     B = len(embs)
     if B < 1:
         raise ValueError("at least one agent is required")
-    t = cfg.target_index
-    if t >= B:
-        raise ValueError(f"target index {t} out of range for {B} agents")
-    n_t = local.n
-    if n_t < 2:
-        raise ValueError("target agent needs at least two samples")
+    kind = embs[0].kind
+    if any(e.kind != kind for e in embs) or any(local.kind != kind for local in locals_.values()):
+        raise ValueError("embedding representation does not match local features")
+    for t, local in locals_.items():
+        if not 0 <= t < B:
+            raise ValueError(f"target index {t} out of range for {B} agents")
+        if local.n < 2:
+            raise ValueError("target agent needs at least two samples")
 
+
+def _gram(embs: list[Embedding]) -> tuple[np.ndarray, np.ndarray]:
+    """The centred stack V - V_0 of the embeddings and its Gram matrix G, which every target's A_t is formed from."""
     V = np.stack([e.v for e in embs])
-    diffs = V - V[t]
-    A = diffs @ diffs.T
+    # A_t sees only differences; dropping the common offset avoids
+    # cancellation on large poly2 lifts and keeps identical agents at exactly 0
+    V = V - V[0]
+    G = V @ V.T
+    return V, (G + G.T) / 2.0
+
+
+def _target_matrix(G: np.ndarray, t: int) -> np.ndarray:
+    """A_t = G - G_t - G_t' + G_tt, the Gram matrix of the nu_k - nu_t, with row and column t zeroed."""
+    A = G - G[t] - G[:, t, None] + G[t, t]
     A = (A + A.T) / 2.0
     A[t, :] = 0.0
     A[:, t] = 0.0
+    return A
 
-    b = np.zeros(B)
-    b[t] = 2.0 * trace_cov_hat(local) / n_t
-    for k in range(B):
-        if k == t:
-            continue
-        dist = math.sqrt(max(float(A[k, k]), 0.0))
-        b[k] = cfg.c_q * math.sqrt(q_stat(local, embs[k], embs[t])) / math.sqrt(n_t) \
-            + cfg.c_p * cfg.m * dist / n_t
 
-    return QaggProblem(
-        A=A, b=b, op_norm_A=operator_norm(A), inf_norm_b=float(np.max(np.abs(b))) if B else 0.0,
-        target_index=t,
-    )
+def build_problem(embs: list[Embedding], local: LocalFeatureSet, cfg: QaggConfig) -> QaggProblem:
+    """Target ``cfg.target_index``'s program: the A_t and b_t that :func:`learn_weights` solves for it, bit for bit.
+
+    ``embs`` holds every agent's embedding; ``local`` holds the target's
+    per-point features.  The cost row is formed from a copy of them, so
+    ``local`` is not spent.
+    """
+    t = cfg.target_index
+    _check(embs, {t: local})
+    V, G = _gram(embs)
+    A = _target_matrix(G, t)
+    b = cost_row(LocalFeatureSet(kind=local.kind, features=local.features.copy()), V, t, cfg)
+    return QaggProblem(A=A, b=b, op_norm_A=operator_norm(A), inf_norm_b=float(np.max(np.abs(b))), target_index=t)
 
 
 def _kkt(buf, H, E, S):
@@ -293,8 +306,8 @@ def cost_row(local: LocalFeatureSet, V: np.ndarray, t: int, cfg: QaggConfig) -> 
     """Target t's cost row b_t, from its own feature rows and the centred embedding stack.
 
     ``V`` holds every agent's embedding less agent 0's, the stack that
-    :func:`learn_weights` forms the Gram matrix from.  The target's
-    projections F_t (V - V_t)' are formed first; then the trace term's
+    :func:`learn_weights` forms the Gram matrix from.  The target's q
+    statistics are formed first; then the trace term's
     centred squares are written over the feature rows themselves, which
     spends ``local`` (see :class:`LocalFeatureSet`), so no scratch array of
     the features' size is allocated.
@@ -304,10 +317,7 @@ def cost_row(local: LocalFeatureSet, V: np.ndarray, t: int, cfg: QaggConfig) -> 
     # target must sit at distance 0, not at the root of a rounding residue
     diffs = V - V[t]
     dist = np.sqrt((diffs * diffs).sum(axis=1))
-    proj = local.features @ diffs.T
-    proj -= proj.mean(axis=0)
-    q = (proj * proj).sum(axis=0) / (n - 1)
-    b = cfg.c_q * np.sqrt(q) / math.sqrt(n) + cfg.c_p * cfg.m * dist / n
+    b = cfg.c_q * np.sqrt(q_stat(local, diffs)) / math.sqrt(n) + cfg.c_p * cfg.m * dist / n
     b[t] = 2.0 * trace_cov_hat(local, out=local.spend()) / n
     return b
 
@@ -326,35 +336,12 @@ def learn_weights(
     is spent by its cost row.  Embeddings and features are finite summaries,
     so no agent's raw data is read here.
     """
-    B = len(embs)
-    if B < 1:
-        raise ValueError("at least one agent is required")
-    kind = embs[0].kind
-    if any(e.kind != kind for e in embs) or any(local.kind != kind for local in locals_.values()):
-        raise ValueError("embedding representation does not match local features")
-    for t, local in locals_.items():
-        if not 0 <= t < B:
-            raise ValueError(f"target index {t} out of range for {B} agents")
-        if local.n < 2:
-            raise ValueError("target agent needs at least two samples")
-
-    V = np.stack([e.v for e in embs])
-    # A_t sees only differences; dropping the common offset avoids
-    # cancellation on large poly2 lifts and keeps identical agents at exactly 0
-    V = V - V[0]
-    G = V @ V.T
-    G = (G + G.T) / 2.0
+    _check(embs, locals_)
+    V, G = _gram(embs)
     # every cost row before any solve: interleaving the two passes over V and
     # G measured about 10% slower on 100 targets of D = 500
     b = [cost_row(local, V, t, cfg) for t, local in locals_.items()]
-    rows = []
-    for t, b_t in zip(locals_, b):
-        A = G - G[t] - G[:, t, None] + G[t, t]
-        A = (A + A.T) / 2.0
-        A[t, :] = 0.0
-        A[:, t] = 0.0
-        rows.append(SimplexWeights(_solve(A, b_t, t, cfg.t)))
-    return rows
+    return [SimplexWeights(_solve(_target_matrix(G, t), b_t, t, cfg.t)) for t, b_t in zip(locals_, b)]
 
 
 def weights_matrix(rows: list[SimplexWeights]) -> np.ndarray:

@@ -3,13 +3,17 @@
 The package represents a KME by a finite vector, the RFF mean or the poly2
 lift of the sample's moments, and no agent ever reads another agent's
 sample.  The forms here need raw points, a single point, or a population
-law, and no protocol step calls them.  They are the oracles the finite forms
-are checked against:
+law, or write out term by term what the package forms in one pass, and no
+protocol step calls them.  They are the oracles the finite forms are checked
+against:
 
 * pointwise kernel values, Gram matrices, and the RFF map of one point;
 * the exact embedding, a handle on an agent's raw sample under a kernel, with
   the kernel-expansion forms of the inner product, the covariance trace, the
   q statistic and one target's weight program;
+* one target's weight program in feature coordinates, written out term by
+  term: A from the differences nu_k - nu_t, b one peer at a time, so it
+  shares no assembly with ``qagg``;
 * squared MMDs by bilinear expansion, and the analytic embedding of a
   Gaussian under poly2 and in RFF coordinates (the concept-shift law of
   (x, y) is Gaussian);
@@ -26,7 +30,7 @@ import numpy as np
 
 from fedkme import qagg
 from fedkme.data import AgentDataset
-from fedkme.embedding import POLY2, Embedding, _poly2_summary_lift
+from fedkme.embedding import POLY2, Embedding, LocalFeatureSet, _poly2_summary_lift
 from fedkme.kernels import GAUSSIAN, KernelSpec
 from fedkme.models import LOGISTIC_GD, ModelSpec
 from fedkme.rff import RffParams, featurize_matrix
@@ -222,6 +226,42 @@ def kernel_problem(embs: list[ExactEmbedding], local: ExactEmbedding, cfg: qagg.
             continue
         dist = math.sqrt(max(float(A[k, k]), 0.0))
         b[k] = cfg.c_q * math.sqrt(kernel_q_stat(local, embs[k], embs[t])) / math.sqrt(n_t) \
+            + cfg.c_p * cfg.m * dist / n_t
+    return qagg.QaggProblem(
+        A=A, b=b, op_norm_A=qagg.operator_norm(A), inf_norm_b=float(np.max(np.abs(b))), target_index=t,
+    )
+
+
+def feature_q_stat(local: LocalFeatureSet, nu_k: Embedding, nu_1: Embedding) -> float:
+    """q_k = (1/(n-1)) sum_i <Phi_i - mean, nu_k - nu_1>^2 for one peer, from the target's feature rows."""
+    proj = local.features @ (nu_k.v - nu_1.v)
+    proj -= proj.mean()
+    return float(np.sum(proj * proj)) / (local.n - 1)
+
+
+def feature_problem(embs: list[Embedding], local: LocalFeatureSet, cfg: qagg.QaggConfig) -> qagg.QaggProblem:
+    """``qagg.build_problem`` written out: A from the differences nu_k - nu_t, b one peer at a time.
+
+    Reads ``local.features`` only, so the set is not spent.
+    """
+    B = len(embs)
+    t = cfg.target_index
+    n_t = local.n
+    V = np.stack([e.v for e in embs])
+    diffs = V - V[t]
+    A = diffs @ diffs.T
+    A = (A + A.T) / 2.0
+    A[t, :] = 0.0
+    A[:, t] = 0.0
+    F = local.features
+    trace = float(np.sum((F - F.mean(axis=0)) ** 2)) / (n_t - 1)
+    b = np.zeros(B)
+    b[t] = 2.0 * trace / n_t
+    for k in range(B):
+        if k == t:
+            continue
+        dist = math.sqrt(max(float(A[k, k]), 0.0))
+        b[k] = cfg.c_q * math.sqrt(feature_q_stat(local, embs[k], embs[t])) / math.sqrt(n_t) \
             + cfg.c_p * cfg.m * dist / n_t
     return qagg.QaggProblem(
         A=A, b=b, op_norm_A=qagg.operator_norm(A), inf_norm_b=float(np.max(np.abs(b))), target_index=t,

@@ -115,7 +115,7 @@ def test_A3_trace_and_q_statistic_match_kernel_expansions():
 
         nu1 = embed(dataset_of(Z1), POLY2)
         nuk = embed(dataset_of(Zk), POLY2)
-        q_feat = q_stat(lf, nuk, nu1)
+        q_feat = q_stat(lf, (nuk.v - nu1.v)[None])[0]
         # <phi_i, nu_k> via gram rows, then the centered-projection second moment
         K1k = gram_matrix(spec, Z1, Zk)
         proj = K1k.mean(axis=1) - K11.mean(axis=1)

@@ -1,10 +1,11 @@
 """The benchmark harness in perfbench/ still runs against the package.
 
-Each workload's tiny config goes through ``fedkme run``, and perfbench's own
-per-target assembly (``objective.certify``) rebuilds every target's program
-and scores the rows of the written ``weights.csv``.  This catches a change
-that drops a name the harness imports, and checks the CLI's batched weights
-against a separate one-target assembly of the same programs.  The same
+Each workload's tiny config goes through ``fedkme run``, and perfbench's
+certificate (``objective.certify``) rebuilds every target's program through
+``qagg.build_problem`` and scores the rows of the written ``weights.csv``.
+This catches a change that drops a name the harness imports, and checks that
+the CLI's batched weights solve the programs that ``build_problem`` returns,
+which are the ones ``learn_weights`` solves, bit for bit.  The same
 config run through the one-row-per-fit reference job must write the same
 ``results.csv`` and ``comm.csv``, so the batched fits keep every byte.
 

@@ -214,6 +214,15 @@ def test_load_config_missing_file(tmp_path):
         dict(seed=-1),
         dict(kernel_kind="poly2", bandwidth="junk"),
         dict(kernel_kind="poly2", bandwidth="1,0,1,1"),
+        dict(bandwidth="1,1"),  # (x, y) pairs of data.dim = 3 have 4 coordinates
+        dict(bandwidth="1,1,1,1", scope="features"),  # x alone has 3
+        dict(experiment="covariate_shift", grid=(0.0,), group_sizes=(1, 1), bandwidth="1,1,1"),
+        dict(c_q=-1.0, preset="default"),
+        dict(c_p=0.0, preset="default"),
+        dict(c_q=-1.0, preset="ones"),
+        dict(c_p=0.0, preset="ones"),
+        dict(c_q=-1.0, preset="theory"),
+        dict(c_p=0.0, preset="theory"),
     ],
 )
 def test_validate_config_rejects(bad):
@@ -578,6 +587,22 @@ def _custom_config(tmp_path, **overrides):
     path = tmp_path / "exp.cfg"
     path.write_text(serialize_config(cfg))
     return path
+
+
+def test_a_wrong_length_bandwidth_fails_a_synthetic_run_but_each_custom_repetition(tmp_path, capsys):
+    # a synthetic run's dimension is data.dim, so the config is refused up front;
+    # a custom run's comes from its train file, so each repetition fails instead
+    cfg_path = tmp_path / "synthetic.cfg"
+    cfg_path.write_text(serialize_config(replace(TINY, bandwidth="1,1")))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "synthetic")]) == 1
+    message = "kernel.bandwidth has 2 entries but the embedded points have 4"
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "synthetic").exists()
+    _write_custom(tmp_path, [5, 6, 7])
+    cfg_path = _custom_config(tmp_path, bandwidth="1,1,1,1")  # the file's (x, y) pairs have 3 coordinates
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "custom")]) == 0
+    assert _read(tmp_path / "custom" / "results.csv")[1:] == [["status", "-1", "0", "-1", "error"]]
+    assert "ConfigError: kernel.bandwidth has 4 entries but the embedded points have 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kernel", ["gaussian", "poly2"])

@@ -211,7 +211,7 @@ def test_q_stat_zero_when_embeddings_coincide():
     params = sample_rff(KERNEL2, 16, seed=6)
     ds = _dataset(g, 5, 2)
     emb = embed(ds, params)
-    assert q_stat(local_features(ds, params), emb, emb) == 0.0
+    assert q_stat(local_features(ds, params), (emb.v - emb.v)[None])[0] == 0.0
 
 
 def test_q_stat_zero_for_constant_features():
@@ -219,7 +219,7 @@ def test_q_stat_zero_for_constant_features():
     # lifts (1, sqrt2 m, C) of the moments (0.5, 0.5) and (0.1, 0.4)
     a = Embedding(kind=POLY2, v=np.array([1.0, math.sqrt(2.0) * 0.5, 0.5]))
     b = Embedding(kind=POLY2, v=np.array([1.0, math.sqrt(2.0) * 0.1, 0.4]))
-    assert q_stat(local, a, b) == 0.0
+    assert q_stat(local, (a.v - b.v)[None])[0] == 0.0
 
 
 def test_q_stat_feature_form_matches_plain_numpy_oracle():
@@ -231,7 +231,7 @@ def test_q_stat_feature_form_matches_plain_numpy_oracle():
     u = nu_k.v - nu_1.v
     F = local.features
     oracle = float(np.sum(((F - nu_1.v) @ u) ** 2) / (F.shape[0] - 1))
-    assert q_stat(local, nu_k, nu_1) == pytest.approx(oracle, rel=1e-10)
+    assert q_stat(local, u[None])[0] == pytest.approx(oracle, rel=1e-10)
 
 
 def test_q_stat_exact_kernel_expansion_matches_feature_form():
@@ -239,8 +239,8 @@ def test_q_stat_exact_kernel_expansion_matches_feature_form():
     kernel = poly2_kernel(2)
     ds, other = _dataset(g, 6, 2), _dataset(g, 4, 2)
     feature_form = q_stat(
-        local_features(ds, POLY2), embed(other, POLY2), embed(ds, POLY2)
-    )
+        local_features(ds, POLY2), (embed(other, POLY2).v - embed(ds, POLY2).v)[None]
+    )[0]
     kernel_form = kernel_q_stat(exact_embed(ds, kernel), exact_embed(other, kernel), exact_embed(ds, kernel))
     assert kernel_form == pytest.approx(feature_form, rel=1e-10)
 

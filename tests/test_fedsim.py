@@ -27,8 +27,9 @@ from fedkme.fedsim import (
 )
 from fedkme.kernels import concept_shift_kernel, isotropic_gaussian_kernel, kernel_bound, poly2_kernel
 from fedkme.models import ModelSpec
-from fedkme.qagg import build_problem, default_config, learn_weights, ones_config
+from fedkme.qagg import default_config, learn_weights, ones_config
 from fedkme.rff import featurize_matrix, sample_rff
+from reference_kme import feature_problem
 
 
 def _agents(seed, B=5, n=8, d=2, shift=0.0):
@@ -211,7 +212,7 @@ def test_large_poly2_data_and_single_sample_peers():
         embs = [embed(ds, POLY2) for ds in datasets]
         qcfg = replace(cfg.qagg, m=kernel_bound(kernel, datasets))
         for t, row in enumerate(rows):
-            problem = build_problem(embs, local_features(datasets[t], POLY2), replace(qcfg, target_index=t))
+            problem = feature_problem(embs, local_features(datasets[t], POLY2), replace(qcfg, target_index=t))
             g = problem.gradient(row.w)
             lam = float(g @ row.w)
             tol = 1e-9 * max(float(np.abs(problem.A).max()), float(problem.b.max()))

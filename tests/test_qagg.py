@@ -27,7 +27,15 @@ from fedkme.qagg import (
     weights_matrix,
 )
 from fedkme.rff import featurize_matrix, sample_rff
-from reference_kme import concept_shift_law, dataset_of, exact_embed, kernel_problem, optimize, rff_population_embedding
+from reference_kme import (
+    concept_shift_law,
+    dataset_of,
+    exact_embed,
+    feature_problem,
+    kernel_problem,
+    optimize,
+    rff_population_embedding,
+)
 
 KERNEL2 = isotropic_gaussian_kernel(2)
 
@@ -437,7 +445,30 @@ def test_learn_weights_shared_dataset_prefers_spreading():
 
 def _reference_row(embs, local, cfg, t):
     cfg_t = replace(cfg, target_index=t)
-    return optimize(build_problem(embs, local, cfg_t), cfg_t).w
+    return optimize(feature_problem(embs, local, cfg_t), cfg_t).w
+
+
+@pytest.mark.parametrize("kind", ["rff", POLY2])
+def test_build_problem_is_the_program_learn_weights_solves(kind, monkeypatch):
+    g = np.random.default_rng(17)
+    datasets = [dataset_of(g.normal(loc=g.normal(), size=(n, 2))) for n in (5, 7, 4, 6)]
+    mode = sample_rff(KERNEL2, 24, seed=6) if kind == "rff" else kind
+    embs = [embed(ds, mode) for ds in datasets]
+    cfg = QaggConfig(c_q=0.8, c_p=1.7, m=3.0)
+    solved = []
+    solve = qagg._solve
+    monkeypatch.setattr(qagg, "_solve", lambda A, b, t, cap: solved.append((A, b)) or solve(A, b, t, cap))
+    learn_weights(embs, {t: local_features(ds, mode) for t, ds in enumerate(datasets)}, cfg)
+    monkeypatch.undo()
+    assert len(solved) == len(datasets)
+    for t, (A, b) in enumerate(solved):
+        local = local_features(datasets[t], mode)
+        F = local.features.copy()
+        problem = build_problem(embs, local, replace(cfg, target_index=t))
+        assert np.array_equal(problem.A, A) and np.array_equal(problem.b, b)
+        np.testing.assert_array_equal(local.features, F)  # not spent: a weight step can still use it
+        (row,) = learn_weights(embs, {t: local}, cfg)
+        np.testing.assert_array_equal(row.w, solve(A, b, t, cfg.t))
 
 
 def test_cost_row_matches_the_kernel_expansion():

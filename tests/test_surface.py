@@ -5,7 +5,9 @@ some module under ``src/``, ``perfbench/`` or ``demos/`` names it as a Name,
 an Attribute or an import alias, outside the definition itself.  A method,
 property or dataclass field of a public class counts as used when such a
 module reads it as an attribute outside its own class's ``__post_init__``.
-Oracles that only tests call belong in ``tests/reference_kme.py``.
+Oracles that only tests call belong in ``tests/reference_kme.py``.  A config
+key counts as used when ``cli.py`` reads its ``ExperimentConfig`` field
+outside the checks and the codec.
 """
 
 import ast
@@ -114,3 +116,30 @@ def test_every_public_class_member_is_read_outside_tests():
                 if not any(attr == name and owner is not cls for attr, owner in reads):
                     unread.append(f"{path.relative_to(ROOT)}:{item.lineno} {cls.name}.{name}")
     assert unread == [], "public class members nothing under src/, perfbench/ or demos/ reads: " + ", ".join(unread)
+
+
+# An ExperimentConfig field that no computation reads, with the reason it stays.
+KEPT_CONFIG_FIELDS = {
+    # perfbench/common.py sets experiment.test_size in every workload's config;
+    # ROADMAP item 2 drops the key in the same change that stops setting it
+    "test_size",
+}
+# cli.py functions whose reads of the config do not count: its checks and its codec
+CONFIG_PLUMBING = {"validate_config", "serialize_config", "parse_config", "load_config"}
+
+
+def test_every_config_key_is_read_by_a_computation():
+    """Each ``ExperimentConfig`` field is read as ``cfg.<name>`` in cli.py outside its checks and codec."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    (config,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    fields = {item.target.id for item in config.body if isinstance(item, ast.AnnAssign)}
+    reads = {
+        node.attr
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name not in CONFIG_PLUMBING
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+    }
+    unread = sorted(fields - reads - KEPT_CONFIG_FIELDS)
+    assert unread == [], "config fields that only the checks and the codec read: " + ", ".join(unread)
+    assert KEPT_CONFIG_FIELDS <= fields - reads, "kept config fields that are gone or now read"
