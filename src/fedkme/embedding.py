@@ -50,11 +50,15 @@ class LocalFeatureSet:
 
     The set takes over the rows it is built from: ``features`` is a read-only
     view of them, and the set keeps them writable for the weight step alone.
-    That step is their last reader.  :func:`fedkme.qagg.cost_row` forms the
-    target's projections from them, then takes them with :meth:`spend` and
-    writes the centred squares of the covariance trace over them, so after
-    it ``features`` no longer holds the features, and a second weight step on
-    the set raises.  ``mean`` is an array of its own and keeps its value.
+    That step is their last reader, and it spends the set, which
+    :attr:`spent` then reports; a second weight step on a spent set raises.
+    When the step proves from the Gram matrix and one read of the rows that
+    the target's row is its vertex e_t, it spends the set without writing to
+    them, and ``features`` keeps the features.  Otherwise
+    :func:`fedkme.qagg.cost_row` forms the target's projections from them,
+    then takes them with :meth:`spend` and writes the centred squares of the
+    covariance trace over them, so ``features`` no longer holds the
+    features.  ``mean`` is an array of its own and keeps its value.
     """
 
     kind: str
@@ -80,6 +84,11 @@ class LocalFeatureSet:
     @property
     def n(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def spent(self) -> bool:
+        """Whether a weight step has taken the rows; ``features`` may then hold its trace terms."""
+        return self._rows is None
 
     def spend(self) -> np.ndarray:
         """The writable rows that ``features`` views, handed to the weight step once to overwrite."""

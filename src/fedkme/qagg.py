@@ -39,6 +39,35 @@ step then holds no (n_t x D) array besides the features.  The program is
 assembled in one place: :func:`learn_weights` solves every target's, and
 :func:`build_problem` returns one target's as a :class:`QaggProblem`, the
 same A_t and b_t bit for bit.
+
+Before a target's cost row, a safe screen (in the sense of El Ghaoui,
+Viallon & Rabbani, "Safe feature elimination in sparse supervised
+learning", 2012) tries to prove, from G, the target's feature mean and
+sum_i ||Phi_i||^2, that the solver's strict vertex test would return e_t.
+It takes three bounds:
+
+* a lower bound on every peer's cost: b_k >= C_P M ||nu_k - nu_t|| / n_t,
+  since q_k >= 0, with ||nu_k - nu_t||^2 = G_kk - 2 G_kt + G_tt less the
+  rounding of each Gram entry, gamma_D ||v_k|| ||v_l|| (Higham, *Accuracy and
+  Stability of Numerical Algorithms*, section 3.1);
+* an upper bound on the target's cost b_t = 2 tr(Sigma_t)/n_t, from
+  (n_t - 1) tr(Sigma_t) = sum_i ||Phi_i||^2 - n_t ||nu_t||^2;
+* an upper bound on the solver's scale max(|A_t|_max, |b|_inf): |A_t|_max is
+  at most max_k ||nu_k - nu_t||^2, as A_t is their Gram matrix, and
+  q_k <= ||nu_k - nu_t||^2 tr(Sigma_t) bounds every b_k.
+
+Each bound carries a relative slack that covers the rounding of G, of the
+cost row, of the bounds themselves and of the vertex test many times over,
+so a row whose lowest peer cost clears the target's by more than the
+solver's tolerance on the scale bound is one the exact path returns as e_t,
+bit for bit.  Such a row skips its cost row, its A_t and its solve, and its
+feature set is spent without being overwritten.  Every other row, and every
+row with a non-finite or overflowing bound, takes the exact path.  The
+screen only proves what the solver would return, so it changes no output
+bit, and a row's verdict reads no other target's data.  sum_i ||Phi_i||^2
+is one read of the rows, with no write; the screen skips it, and does not
+certify, a row whose first rows suggest a b_t well above its peers' lower
+bound, so a workload whose rows all borrow pays only for that estimate.
 """
 
 from __future__ import annotations
@@ -52,6 +81,11 @@ from .embedding import Embedding, LocalFeatureSet, q_stat, trace_cov_hat
 
 # relative to the scaled program, whose largest entry is 1
 _TOL = 1e-10
+_U = 2.0**-53  # unit roundoff of float64
+_PROBE_ROWS = 8  # rows of the estimate that decides whether the screen reads a target's rows in full
+# the screen certifies no row whose bounds reach this, so no intermediate of
+# the path it skips could have overflowed
+_HUGE = 1e300
 
 
 @dataclass(frozen=True)
@@ -206,9 +240,12 @@ def build_problem(embs: list[Embedding], local: LocalFeatureSet, cfg: QaggConfig
 
     ``embs`` holds every agent's embedding; ``local`` holds the target's
     per-point features.  The cost row is formed from a copy of them, so
-    ``local`` is not spent.
+    ``local`` is not spent; a set that a weight step already spent raises
+    ``ValueError``, since its rows may no longer hold the features.
     """
     t = cfg.target_index
+    if local.spent:
+        raise ValueError("these features were spent by an earlier weight step")
     _check(embs, {t: local})
     V, G = _gram(embs)
     A = _target_matrix(G, t)
@@ -281,6 +318,13 @@ def _active_set(H, c, E, w, support, free, cap):
     raise ArithmeticError(f"weight optimization did not finish within {cap} active-set steps")
 
 
+def _vertex(B: int, t: int) -> np.ndarray:
+    """The vertex e_t of the simplex in R^B."""
+    e = np.zeros(B)
+    e[t] = 1.0
+    return e
+
+
 def _solve(A: np.ndarray, b: np.ndarray, t: int, cap: int) -> np.ndarray:
     """Minimiser of w'Aw + <b, w> over the simplex from e_t; the minimum-norm one if it is not unique."""
     B = b.size
@@ -290,8 +334,7 @@ def _solve(A: np.ndarray, b: np.ndarray, t: int, cap: int) -> np.ndarray:
     if scale == 0.0:
         return np.full(B, 1.0 / B)  # constant program: uniform is the minimum-norm minimiser
     A, b = A / scale, b / scale
-    start = np.zeros(B)
-    start[t] = 1.0
+    start = _vertex(B, t)
     if np.delete(b, t).min(initial=math.inf) - b[t] > _TOL:
         return start  # a strict vertex; ties and near-ties take the full solve to the minimum-norm point
     w, reduced = _active_set(A, b, np.ones((1, B)), start, [t], np.ones(B, dtype=bool), cap)
@@ -302,6 +345,60 @@ def _solve(A: np.ndarray, b: np.ndarray, t: int, cap: int) -> np.ndarray:
     return w / w.sum()
 
 
+def _vertex_screen(G: np.ndarray, D: int, locals_: dict[int, LocalFeatureSet], cfg: QaggConfig) -> np.ndarray:
+    """For each target of ``locals_``, in order, whether :func:`_solve` is proven to return e_t for it.
+
+    The proof uses only the Gram matrix ``G`` of the centred stack, whose rows
+    have ``D`` coordinates, and each target's mean and sum_i ||Phi_i||^2 (see
+    :func:`_sum_sq`); the module docstring gives its three bounds.  A target
+    with a non-finite or overflowing bound is not certified.
+    """
+    n = np.array([local.n for local in locals_.values()], dtype=float)
+    mm = np.array([float(local.mean @ local.mean) for local in locals_.values()])
+    T = np.fromiter(locals_, dtype=np.intp, count=n.size)
+    # each rounded quantity of G, the cost row, these bounds and the vertex
+    # test is a sum or product of at most (n + 1)(D + 1) rounded terms;
+    # this relative slack covers every such error many times over
+    rel = 16.0 * ((n + 1.0) * (D + 1.0) + 16.0) * _U
+    with np.errstate(all="ignore"):  # a non-finite bound fails the test below
+        diag = np.diag(G)
+        r = np.sqrt(diag)
+        # ||v_k - v_t||^2 = G_kk - 2 G_kt + G_tt, within gamma_D ||v_k|| ||v_l|| of each entry
+        d2 = (diag[T, None] - 2.0 * G[T]) + diag
+        slack = 2.0 * rel[:, None] * (r[T, None] + r) ** 2
+        lo = d2 - slack
+        lo[np.arange(T.size), T] = np.inf
+        hi = (d2 + slack).max(axis=1)
+        cpm = cfg.c_p * cfg.m
+        # every peer pays at least its P term, since q_k >= 0
+        p_lo = cpm * np.sqrt(np.maximum(lo.min(axis=1), 0.0)) / n * (1.0 - rel)
+        S = np.array([_sum_sq(local, floor) for local, floor in zip(locals_.values(), p_lo)])
+        # (n - 1) tr Sigma_hat_t = sum_i ||Phi_i||^2 - n ||nu_t||^2
+        w_hi = np.maximum(S * (1.0 + rel) - n * mm * (1.0 - rel), 0.0)
+        bt_hi = 2.0 * w_hi / ((n - 1.0) * n) * (1.0 + rel)
+        # q_k <= ||nu_k - nu_t||^2 tr Sigma_hat_t, and |A_t|_max <= max_k ||nu_k - nu_t||^2
+        bk_hi = (cfg.c_q * np.sqrt(hi * w_hi / (n - 1.0)) / np.sqrt(n) + cpm * np.sqrt(hi) / n) * (1.0 + rel)
+        a_hi = hi + 2.0 * rel * (r.max() + r[T]) ** 2
+        scale_hi = np.maximum(np.maximum(a_hi, bk_hi), bt_hi)
+        return (
+            (p_lo - bt_hi > scale_hi * _TOL * (1.0 + rel))
+            & (scale_hi < _HUGE) & (S * hi < _HUGE) & (diag.max() < _HUGE)
+        )
+
+
+def _sum_sq(local: LocalFeatureSet, floor: float) -> float:
+    """sum_i ||Phi_i||^2 over the target's rows, or nan if its first rows put b_t well above ``floor``.
+
+    The estimate of b_t from the first rows bounds nothing; it only spares
+    the full read of a row that could not be certified against the peers'
+    cost ``floor``.  A wrong guess costs a read or a certificate, never a bit.
+    """
+    n = local.n
+    head = local.features[:_PROBE_ROWS] - local.mean
+    guess = 2.0 * float(np.vdot(head, head)) / (head.shape[0] * (n - 1))
+    return float(np.vdot(local.features, local.features)) if guess < 2.0 * floor else math.nan
+
+
 def cost_row(local: LocalFeatureSet, V: np.ndarray, t: int, cfg: QaggConfig) -> np.ndarray:
     """Target t's cost row b_t, from its own feature rows and the centred embedding stack.
 
@@ -310,7 +407,9 @@ def cost_row(local: LocalFeatureSet, V: np.ndarray, t: int, cfg: QaggConfig) -> 
     statistics are formed first; then the trace term's
     centred squares are written over the feature rows themselves, which
     spends ``local`` (see :class:`LocalFeatureSet`), so no scratch array of
-    the features' size is allocated.
+    the features' size is allocated.  :func:`learn_weights` calls it only for
+    a row that its vertex screen does not certify; a screened set is spent
+    without being overwritten.
     """
     n = local.n
     # from the differences, not G_kk - 2 G_kt + G_tt: a duplicate of the
@@ -332,16 +431,24 @@ def learn_weights(
     is assembled once and each target's program is formed from it and from
     the target's :func:`cost_row`, and solved on its own, so a row does not
     depend on which other targets are asked for: asking for one target gives
-    bit for bit the row that asking for all of them gives.  Each feature set
-    is spent by its cost row.  Embeddings and features are finite summaries,
-    so no agent's raw data is read here.
+    bit for bit the row that asking for all of them gives.  A row the vertex
+    screen certifies (see the module docstring) is e_t with no cost row and
+    no solve.  Each feature set is spent: a screened one without being
+    overwritten, any other by its cost row.  Embeddings and features are
+    finite summaries, so no agent's raw data is read here.
     """
     _check(embs, locals_)
     V, G = _gram(embs)
     # every cost row before any solve: interleaving the two passes over V and
     # G measured about 10% slower on 100 targets of D = 500
-    b = [cost_row(local, V, t, cfg) for t, local in locals_.items()]
-    return [SimplexWeights(_solve(_target_matrix(G, t), b_t, t, cfg.t)) for t, b_t in zip(locals_, b)]
+    b = {}
+    for (t, local), at_vertex in zip(locals_.items(), _vertex_screen(G, V.shape[1], locals_, cfg)):
+        if at_vertex:
+            local.spend()  # the row is e_t: its features have no reader left
+        else:
+            b[t] = cost_row(local, V, t, cfg)
+    B = len(embs)
+    return [SimplexWeights(_solve(_target_matrix(G, t), b[t], t, cfg.t) if t in b else _vertex(B, t)) for t in locals_]
 
 
 def weights_matrix(rows: list[SimplexWeights]) -> np.ndarray:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fedkme import qagg
 from fedkme.datagen import ConceptShiftSpec, gen_concept_shift
-from fedkme.embedding import POLY2, RFF, LocalFeatureSet, embed, local_features
+from fedkme.embedding import POLY2, RFF, LocalFeatureSet, embed, featurize_agent, local_features
 from fedkme.fedsim import ORACLE, baseline_weights
 from fedkme.kernels import concept_shift_kernel, isotropic_gaussian_kernel, poly2_kernel
 from fedkme.qagg import (
@@ -455,20 +455,179 @@ def test_build_problem_is_the_program_learn_weights_solves(kind, monkeypatch):
     mode = sample_rff(KERNEL2, 24, seed=6) if kind == "rff" else kind
     embs = [embed(ds, mode) for ds in datasets]
     cfg = QaggConfig(c_q=0.8, c_p=1.7, m=3.0)
-    solved = []
+    solved = {}
     solve = qagg._solve
-    monkeypatch.setattr(qagg, "_solve", lambda A, b, t, cap: solved.append((A, b)) or solve(A, b, t, cap))
-    learn_weights(embs, {t: local_features(ds, mode) for t, ds in enumerate(datasets)}, cfg)
+
+    def recorded(A, b, t, cap):
+        solved[t] = (A, b)
+        return solve(A, b, t, cap)
+
+    locals_ = {t: local_features(ds, mode) for t, ds in enumerate(datasets)}
+    V, G = qagg._gram(embs)
+    screened = qagg._vertex_screen(G, V.shape[1], locals_, cfg)
+    monkeypatch.setattr(qagg, "_solve", recorded)
+    rows = learn_weights(embs, locals_, cfg)
     monkeypatch.undo()
-    assert len(solved) == len(datasets)
-    for t, (A, b) in enumerate(solved):
+    # every row is either screened or solved on the program build_problem returns
+    assert sorted(solved) == [t for t, at_vertex in enumerate(screened) if not at_vertex]
+    for t, row in enumerate(rows):
         local = local_features(datasets[t], mode)
         F = local.features.copy()
         problem = build_problem(embs, local, replace(cfg, target_index=t))
-        assert np.array_equal(problem.A, A) and np.array_equal(problem.b, b)
+        if t in solved:
+            A, b = solved[t]
+            assert np.array_equal(problem.A, A) and np.array_equal(problem.b, b)
         np.testing.assert_array_equal(local.features, F)  # not spent: a weight step can still use it
-        (row,) = learn_weights(embs, {t: local}, cfg)
-        np.testing.assert_array_equal(row.w, solve(A, b, t, cfg.t))
+        assert not local.spent
+        want = solve(problem.A, problem.b, t, cfg.t)
+        np.testing.assert_array_equal(row.w, want)
+        (alone,) = learn_weights(embs, {t: local}, cfg)
+        np.testing.assert_array_equal(alone.w, want)
+
+
+@pytest.mark.parametrize("kind", ["rff", POLY2])
+@pytest.mark.parametrize("c_p, screened", [(1e-3, False), (1e3, True)])
+def test_build_problem_refuses_a_spent_feature_set(kind, c_p, screened):
+    # a cheap P term makes the peers worth borrowing, so the row is solved and
+    # the rows are overwritten; a dear one makes the row a screened vertex,
+    # whose rows keep their features: either way the set is spent
+    g = np.random.default_rng(18)
+    datasets = [dataset_of(g.normal(loc=g.normal(), size=(n, 2))) for n in (5, 7, 4)]
+    mode = sample_rff(KERNEL2, 24, seed=7) if kind == "rff" else kind
+    embs = [embed(ds, mode) for ds in datasets]
+    cfg = QaggConfig(c_q=1e-3, c_p=c_p)
+    local = local_features(datasets[0], mode)
+    F = local.features.copy()
+    assert not local.spent
+    learn_weights(embs, {0: local}, cfg)
+    assert local.spent
+    assert np.array_equal(local.features, F) == screened
+    with pytest.raises(ValueError, match="spent by an earlier weight step"):
+        build_problem(embs, local, cfg)
+
+
+def _tied_c_p(embs, local, c_q, m, t, gap):
+    """The C_P at which the cheapest peer's cost is b_t (1 + gap), or None if no positive one exists."""
+    b = build_problem(embs, local, QaggConfig(c_q=c_q, c_p=1.0, m=m, target_index=t)).b
+    V = np.stack([e.v for e in embs])
+    V = V - V[0]
+    p = m * np.linalg.norm(V - V[t], axis=1) / local.n  # the P term at C_P = 1
+    peers = [k for k in range(b.size) if k != t and p[k] > 0.0]
+    # the cheapest peer's cost rises with C_P: it reaches the level when the last peer does
+    c_p = max(((b[t] * (1.0 + gap) - (b[k] - p[k])) / p[k] for k in peers), default=0.0)
+    return c_p if 0.0 < c_p < math.inf else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["rff", POLY2]), B=st.integers(1, 5), D=st.integers(1, 12), seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_a_screened_row_is_the_vertex_the_exact_solve_returns(kind, B, D, seed, data):
+    # peers draw a fresh sample, a constant one or a copy of the target's (a
+    # duplicate at distance 0); a constant target among copies is the zero
+    # program; poly2 data at 1e6 lifts to 1e24; C_P is either drawn or set so
+    # that the cheapest peer ties with the target within a gap about _TOL
+    g = np.random.default_rng(seed)
+    t = data.draw(st.integers(0, B - 1), label="target")
+    magnitude = data.draw(st.sampled_from([1.0, 1e3, 1e6]) if kind == POLY2 else st.just(1.0), label="magnitude")
+
+    def sample(source):
+        n = int(g.integers(2, 7))
+        if source == "constant":
+            return dataset_of(magnitude * np.repeat(g.normal(size=(1, 2)), n, axis=0))
+        return dataset_of(magnitude * g.normal(loc=g.normal(), size=(n, 2)))
+
+    sources = ["fresh", "constant", "target"]
+    mine = sample(data.draw(st.sampled_from(sources[:2]), label="target's sample"))
+    datasets = [mine if k == t else None for k in range(B)]
+    for k in range(B):
+        if k != t:
+            source = data.draw(st.sampled_from(sources), label=f"source of agent {k}")
+            datasets[k] = mine if source == "target" else sample(source)
+    mode = sample_rff(KERNEL2, D, seed=seed) if kind == "rff" else kind
+    embs = [embed(ds, mode) for ds in datasets]
+    c_q, m = data.draw(st.sampled_from([1e-3, 1.0]), label="C_Q"), math.sqrt(2.0)
+    gap = data.draw(st.sampled_from([None, -1e-9, -1e-10, 0.0, 1e-10, 2e-10, 1e-9, 1e-6]), label="tie gap")
+    c_p = data.draw(st.sampled_from([0.1, 1.0, 10.0]), label="C_P") if gap is None else None
+    c_p = c_p or _tied_c_p(embs, local_features(mine, mode), c_q, m, t, gap) or 1.0
+    cfg = QaggConfig(c_q=c_q, c_p=c_p, m=m, t=200)
+
+    locals_ = {k: local_features(ds, mode) for k, ds in enumerate(datasets)}
+    V, G = qagg._gram(embs)
+    screen = qagg._vertex_screen(G, V.shape[1], locals_, cfg)
+    for k, local in locals_.items():  # a target's verdict does not depend on the others asked for
+        assert qagg._vertex_screen(G, V.shape[1], {k: local}, cfg)[0] == screen[k]
+    # the batch holds the screened rows; a row the screen leaves to the full
+    # solve is the solver's to get right, and its own tests check it
+    screened = [k for k in range(B) if screen[k]]
+    rows = learn_weights(embs, {k: locals_[k] for k in screened}, cfg)
+    for k, row in zip(screened, rows):
+        fresh = local_features(datasets[k], mode)
+        problem = build_problem(embs, fresh, replace(cfg, target_index=k))
+        np.testing.assert_array_equal(row.w, qagg._solve(problem.A, problem.b, k, cfg.t))
+        assert locals_[k].spent
+        np.testing.assert_array_equal(locals_[k].features, fresh.features)  # spent, not overwritten
+        (alone,) = learn_weights(embs, {k: fresh}, cfg)
+        np.testing.assert_array_equal(alone.w, row.w)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the exact path meets the inf and nan
+@pytest.mark.parametrize("bad", [None, "nan feature", "features at 1e160", "embeddings at 1e160"])
+def test_a_non_finite_program_is_never_screened(bad):
+    # a dear P term makes the finite instance a screened vertex; with a nan or
+    # an overflowing feature set or Gram matrix the row takes the exact path,
+    # which refuses the non-finite program
+    g = np.random.default_rng(19)
+    datasets = [dataset_of(g.normal(loc=g.normal(), size=(n, 2))) for n in (5, 7, 4)]
+    embs = [embed(ds, POLY2) for ds in datasets]
+    F = local_features(datasets[0], POLY2).features.copy()
+    if bad == "nan feature":
+        F[1, 2] = np.nan
+    elif bad == "features at 1e160":
+        F *= 1e160
+    elif bad == "embeddings at 1e160":
+        embs = [qagg.Embedding(kind=POLY2, v=e.v * 1e160) for e in embs]
+    local = LocalFeatureSet(kind=POLY2, features=F)
+    cfg = QaggConfig(c_q=1e-3, c_p=1e3)
+    if bad is None:
+        (row,) = learn_weights(embs, {0: local}, cfg)
+        np.testing.assert_array_equal(row.w, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(local.features, F)  # screened: not overwritten
+    else:
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            learn_weights(embs, {0: local}, cfg)
+
+
+def test_the_screen_reads_a_target_in_full_only_when_it_might_certify_it():
+    # the first rows' estimate of b_t decides: against no peer cost nothing can
+    # be proven, and against an unbounded one the full sum of squares is read
+    g = np.random.default_rng(20)
+    local = local_features(dataset_of(g.normal(size=(30, 2))), sample_rff(KERNEL2, 16, seed=8))
+    assert math.isnan(qagg._sum_sq(local, 0.0))
+    assert qagg._sum_sq(local, math.inf) == float(np.vdot(local.features, local.features))
+    assert not local.spent
+
+
+@pytest.mark.parametrize("n_k, certified", [(10, 100), (30, 0)])
+def test_the_screen_certifies_the_default_scale_and_none_of_the_borrowing_scale(n_k, certified, monkeypatch):
+    # README's "When the weights borrow" study: at 10 samples per agent every
+    # row is e_t and the screen proves it, so no cost row is formed; at 30 no
+    # row is e_t, so none may be certified
+    B, d = 100, 20
+    datasets = gen_concept_shift(ConceptShiftSpec(sigma_c2=0.0, b=B, n_k=n_k, d=d, seed=5))[0]
+    params = sample_rff(concept_shift_kernel(d), 500, seed=5)
+    pairs = [featurize_agent(ds, params, with_features=True) for ds in datasets]
+    embs, locals_ = [e for e, _ in pairs], {k: local for k, (_, local) in enumerate(pairs)}
+    cfg = default_config(B)
+    V, G = qagg._gram(embs)
+    assert np.count_nonzero(qagg._vertex_screen(G, V.shape[1], locals_, cfg)) == certified
+    costed = []
+    cost_row = qagg.cost_row
+    monkeypatch.setattr(qagg, "cost_row", lambda local, V, t, cfg: costed.append(t) or cost_row(local, V, t, cfg))
+    rows = learn_weights(embs, locals_, cfg)
+    assert len(costed) == B - certified
+    assert sum(row.w[t] == 1.0 for t, row in enumerate(rows)) == certified
 
 
 def test_cost_row_matches_the_kernel_expansion():
@@ -527,6 +686,7 @@ def test_the_weight_step_spends_each_feature_set():
     embs, local = _instance(15)
     F = local.features.copy()
     learn_weights(embs, {0: local}, ones_config())
+    assert local.spent
     np.testing.assert_array_equal(local.features, (F - F.mean(axis=0)) ** 2)
     np.testing.assert_array_equal(local.mean, F.mean(axis=0))
     with pytest.raises(ValueError, match="overwritten by an earlier weight step"):

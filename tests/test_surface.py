@@ -11,6 +11,9 @@ outside the checks and the codec.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,3 +146,18 @@ def test_every_config_key_is_read_by_a_computation():
     unread = sorted(fields - reads - KEPT_CONFIG_FIELDS)
     assert unread == [], "config fields that only the checks and the codec read: " + ", ".join(unread)
     assert KEPT_CONFIG_FIELDS <= fields - reads, "kept config fields that are gone or now read"
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    """A fresh ``import fedkme`` runs only the package root: every name is imported from its submodule.
+
+    The benchmark's set-up time is that import in a fresh interpreter, so
+    anything the root pulls in is charged to every run.
+    """
+    code = (
+        "import sys; before = set(sys.modules); import fedkme; "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith(('fedkme.', 'numpy'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
