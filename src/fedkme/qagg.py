@@ -209,11 +209,15 @@ def _check(embs: list[Embedding], locals_: dict[int, LocalFeatureSet]) -> None:
     kind = embs[0].kind
     if any(e.kind != kind for e in embs) or any(local.kind != kind for local in locals_.values()):
         raise ValueError("embedding representation does not match local features")
+    D = embs[0].v.size
     for t, local in locals_.items():
         if not 0 <= t < B:
             raise ValueError(f"target index {t} out of range for {B} agents")
         if local.n < 2:
             raise ValueError("target agent needs at least two samples")
+        # the vertex screen reads only the set's mean and sum of squares, so no product would catch this
+        if local.features.shape[1] != D:
+            raise ValueError(f"target {t} has {local.features.shape[1]} features per point, the embeddings {D}")
 
 
 def _gram(embs: list[Embedding]) -> tuple[np.ndarray, np.ndarray]:

@@ -454,35 +454,74 @@ def test_build_problem_is_the_program_learn_weights_solves(kind, monkeypatch):
     datasets = [dataset_of(g.normal(loc=g.normal(), size=(n, 2))) for n in (5, 7, 4, 6)]
     mode = sample_rff(KERNEL2, 24, seed=6) if kind == "rff" else kind
     embs = [embed(ds, mode) for ds in datasets]
-    cfg = QaggConfig(c_q=0.8, c_p=1.7, m=3.0)
-    solved = {}
+    B = len(datasets)
     solve = qagg._solve
 
-    def recorded(A, b, t, cap):
-        solved[t] = (A, b)
-        return solve(A, b, t, cap)
+    def fresh():
+        return {t: local_features(ds, mode) for t, ds in enumerate(datasets)}
 
-    locals_ = {t: local_features(ds, mode) for t, ds in enumerate(datasets)}
+    def solved_programs(cfg, screen):
+        """learn_weights' rows and the (A, b) it solved for each target, with the vertex screen on or off."""
+        solved = {}
+
+        def recorded(A, b, t, cap):
+            solved[t] = (A, b)
+            return solve(A, b, t, cap)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qagg, "_solve", recorded)
+            if not screen:
+                patch.setattr(qagg, "_vertex_screen", lambda G, D, locals_, cfg: np.zeros(len(locals_), dtype=bool))
+            rows = learn_weights(embs, fresh(), cfg)
+        return rows, solved
+
+    # at C_P = 1.7 the screen certifies every RFF row; at C_P = 1e-3 the P
+    # term proves no vertex, so learn_weights solves every row of both kinds
+    for c_p in (1.7, 1e-3):
+        cfg = QaggConfig(c_q=0.8, c_p=c_p, m=3.0)
+        V, G = qagg._gram(embs)
+        screened = qagg._vertex_screen(G, V.shape[1], fresh(), cfg)
+        rows, solved = solved_programs(cfg, screen=True)
+        unscreened_rows, every = solved_programs(cfg, screen=False)
+        # every row is either screened or solved on the program build_problem returns
+        assert sorted(solved) == [t for t in range(B) if not screened[t]]
+        assert sorted(every) == list(range(B))
+        if c_p == 1e-3:
+            assert len(solved) == B
+        for t, row in enumerate(rows):
+            local = local_features(datasets[t], mode)
+            F = local.features.copy()
+            problem = build_problem(embs, local, replace(cfg, target_index=t))
+            for A, b in [every[t]] + ([solved[t]] if t in solved else []):
+                assert np.array_equal(problem.A, A) and np.array_equal(problem.b, b)
+            np.testing.assert_array_equal(local.features, F)  # not spent: a weight step can still use it
+            assert not local.spent
+            want = solve(problem.A, problem.b, t, cfg.t)
+            np.testing.assert_array_equal(row.w, want)
+            np.testing.assert_array_equal(unscreened_rows[t].w, want)
+            (alone,) = learn_weights(embs, {t: local}, cfg)
+            np.testing.assert_array_equal(alone.w, want)
+
+
+@pytest.mark.parametrize("kind", ["rff", POLY2])
+def test_a_feature_set_of_another_width_is_refused(kind):
+    # a dear P term makes the row one the screen certifies, and the screen reads
+    # only the set's mean and sum of squares, so the width is checked up front
+    g = np.random.default_rng(21)
+    datasets = [dataset_of(g.normal(loc=g.normal(), size=(n, 2))) for n in (5, 7, 4)]
+    mode = sample_rff(KERNEL2, 24, seed=9) if kind == "rff" else kind
+    embs = [embed(ds, mode) for ds in datasets]
+    if kind == "rff":
+        local = local_features(datasets[0], sample_rff(KERNEL2, 16, seed=9))
+    else:
+        local = local_features(dataset_of(g.normal(size=(5, 3))), POLY2)
+    cfg = QaggConfig(c_q=1e-3, c_p=1e3)
     V, G = qagg._gram(embs)
-    screened = qagg._vertex_screen(G, V.shape[1], locals_, cfg)
-    monkeypatch.setattr(qagg, "_solve", recorded)
-    rows = learn_weights(embs, locals_, cfg)
-    monkeypatch.undo()
-    # every row is either screened or solved on the program build_problem returns
-    assert sorted(solved) == [t for t, at_vertex in enumerate(screened) if not at_vertex]
-    for t, row in enumerate(rows):
-        local = local_features(datasets[t], mode)
-        F = local.features.copy()
-        problem = build_problem(embs, local, replace(cfg, target_index=t))
-        if t in solved:
-            A, b = solved[t]
-            assert np.array_equal(problem.A, A) and np.array_equal(problem.b, b)
-        np.testing.assert_array_equal(local.features, F)  # not spent: a weight step can still use it
-        assert not local.spent
-        want = solve(problem.A, problem.b, t, cfg.t)
-        np.testing.assert_array_equal(row.w, want)
-        (alone,) = learn_weights(embs, {t: local}, cfg)
-        np.testing.assert_array_equal(alone.w, want)
+    assert qagg._vertex_screen(G, V.shape[1], {0: local}, cfg)[0]
+    for weigh in (lambda: learn_weights(embs, {0: local}, cfg), lambda: build_problem(embs, local, cfg)):
+        with pytest.raises(ValueError, match="features per point"):
+            weigh()
+    assert not local.spent
 
 
 @pytest.mark.parametrize("kind", ["rff", POLY2])
