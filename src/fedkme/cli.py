@@ -31,9 +31,8 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -79,7 +78,7 @@ from .models import (
     FittedModel,
     ModelSpec,
     evaluate,
-    moment_risk,
+    moment_risks,
 )
 from .qagg import SimplexWeights, default_config, ones_config, theory_config, weights_matrix
 
@@ -360,7 +359,7 @@ def _protocol_config(cfg: ExperimentConfig, data: _JobData, seed: int) -> Protoc
 class _JobData(NamedTuple):
     datasets: list[AgentDataset]
     tests: list[AgentDataset]  # a custom run's test sets, by agent; a synthetic job has none
-    scorer: Callable[[int], Callable[[FittedModel], float]]  # target t's score of a model, its results.csv value
+    moments: np.ndarray | None  # a synthetic job's population moment of every agent, stacked; a custom one has none
     groups: list[int]
     params: list[float]  # results.csv param column, one entry per target
 
@@ -383,29 +382,24 @@ def _synthetic_spec(cfg: ExperimentConfig, gi: int, rep: int) -> ConceptShiftSpe
 
 
 def _build_data(cfg: ExperimentConfig, gi: int, rep: int) -> _JobData:
-    """One job's training sets, and its scoring as a per-target scorer.
+    """One job's training sets, and what scores its models (see :func:`_score`).
 
-    A synthetic target scores a model by its exact risk under the target's
-    own law, from the law's augmented second moment, so no held-out row is
-    drawn and ``experiment.test_size`` is not read.  A custom target scores
-    a model on its rows of the test file.
+    A synthetic job keeps every agent's population augmented second moment,
+    formed once as one stack, so no held-out row is drawn and
+    ``experiment.test_size`` is not read.  A custom job keeps the test file's
+    sets.
     """
     tests: list[AgentDataset] = []
+    moments = None
     if cfg.experiment == CONCEPT:
         spec = _synthetic_spec(cfg, gi, rep)
         datasets, betas, groups = gen_concept_shift(spec)
-
-        def scorer(t: int) -> Callable[[FittedModel], float]:
-            return partial(moment_risk, moment=concept_shift_moments(spec, betas, [t])[0])
-
+        moments = concept_shift_moments(spec, betas)
         params = [cfg.grid[gi]] * cfg.agents
     elif cfg.experiment == COVARIATE:
         spec = _synthetic_spec(cfg, gi, rep)
         datasets, groups = gen_covariate_shift(spec)
-
-        def scorer(t: int) -> Callable[[FittedModel], float]:
-            return partial(moment_risk, moment=covariate_shift_moments(spec, [t])[0])
-
+        moments = covariate_shift_moments(spec)
         params = [float(g) for g in groups]
     else:
         train_by_id = load_csv_agents(cfg.train_path)
@@ -423,16 +417,11 @@ def _build_data(cfg: ExperimentConfig, gi: int, rep: int) -> _JobData:
                 f"test file {cfg.test_path} has {tests[0].dim} feature columns but train file "
                 f"{cfg.train_path} has {datasets[0].dim}; both must have the same feature columns"
             )
-        metric = ACCURACY if cfg.model_kind == LOGISTIC_GD else MSE
-
-        def scorer(t: int) -> Callable[[FittedModel], float]:
-            return partial(evaluate, test=tests[t], metric=metric)
-
         groups = list(cfg.groups) if cfg.groups else [0] * len(datasets)
         if len(groups) != len(datasets):
             raise ValueError(f"experiment.groups lists {len(groups)} agents, data has {len(datasets)}")
         params = [float(g) for g in groups]
-    return _JobData(datasets, tests, scorer, groups, params)
+    return _JobData(datasets, tests, moments, groups, params)
 
 
 class _JobResult(NamedTuple):
@@ -469,10 +458,10 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
     row) is fitted once and each distinct (model, target) is scored once.
     The job collects every row first and fits each path's distinct rows in
     one call; then it charges FedAvg per Qagg target, in target order, and
-    scores target by target through the target's scorer.  Fitting and
-    scoring are deterministic, a row's model does not depend on the other
-    rows of its call, and a model's score does not depend on the other
-    models scored, so reuse changes no output byte.
+    scores every distinct (model, target) pair in one :func:`_score` call.
+    Fitting and scoring are deterministic, a row's model does not depend on
+    the other rows of its call, and a pair's score does not depend on the
+    other pairs scored, so reuse changes no output byte.
     """
     if with_qagg:
         data, pcfg, wrows, ledger = _learn_job(cfg, gi, rep)
@@ -510,17 +499,25 @@ def _run_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobR
     if with_qagg:
         for w in wrows:
             charge_fedavg(pcfg, w, models[pcfg.optimizer_path, w.w.tobytes()], ledger)
-    scored: list[dict[tuple[str, bytes], None]] = [{} for _ in data.params]  # each target's distinct models
-    for _, t, key in entries:
-        scored[t].setdefault(key)
-    values: dict[tuple[tuple[str, bytes], int], float] = {}
-    for t, keys in enumerate(scored):
-        if keys:
-            score = data.scorer(t)
-            for key in keys:
-                values[key, t] = score(models[key])
+    pairs = list(dict.fromkeys((key, t) for _, t, key in entries))  # distinct (fit key, target), in row order
+    scores = _score(cfg, data, [models[key] for key, _ in pairs], [t for _, t in pairs])
+    values = dict(zip(pairs, scores))
     rows = [(method, data.params[t], rep, t, values[key, t]) for method, t, key in entries]
     return _JobResult(rows, wrows, ledger, None)
+
+
+def _score(cfg: ExperimentConfig, data: _JobData, fitted: list[FittedModel], targets: list[int]) -> list[float]:
+    """The results.csv value of each model ``fitted[i]`` at its target ``targets[i]``.
+
+    A synthetic pair's value is the model's exact risk under the target's
+    population moment, every pair in one stacked :func:`moment_risks` call; a
+    custom pair's is the MSE or accuracy on the target's rows of the test
+    file.  No pair's value depends on the other pairs.
+    """
+    if data.moments is not None:
+        return moment_risks(fitted, data.moments[targets]).tolist()
+    metric = ACCURACY if cfg.model_kind == LOGISTIC_GD else MSE
+    return [evaluate(model, data.tests[t], metric) for model, t in zip(fitted, targets)]
 
 
 def _safe_job(cfg: ExperimentConfig, gi: int, rep: int, with_qagg: bool) -> _JobResult:
@@ -556,9 +553,15 @@ def _write_weights(path, wrows: list[SimplexWeights] | None) -> None:
         n = len(wrows) if wrows else 0
         writer.writerow(["target_id"] + [f"w_{k}" for k in range(1, n + 1)])
         if wrows:
+            # the matrix repeats few values (at the vertices only 0 and 1), so
+            # each distinct value is formatted once, keyed by its bits so that
+            # 0.0 and -0.0 keep their own cells
             matrix = weights_matrix(wrows)
-            for t in range(n):
-                writer.writerow([str(t)] + [_fmt(v) for v in matrix[t]])
+            bits = matrix.view(np.uint64)
+            distinct = dict(zip(bits.ravel().tolist(), matrix.ravel().tolist()))
+            cells = {key: _fmt(value) for key, value in distinct.items()}
+            for t, row in enumerate(bits.tolist()):
+                writer.writerow([str(t)] + [cells[key] for key in row])
 
 
 def _write_comm(path, ledger: CommLedger | None) -> None:

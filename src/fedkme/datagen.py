@@ -26,7 +26,8 @@ agent k's set has the same bits whether it is drawn alone or among others.
 Each agent's law also has a closed-form augmented second moment
 M = E[z z'] with z = (x, 1, y), in the layout of
 :meth:`AgentDataset.moments`, so a linear model's population risk needs no
-held-out draw.  Under concept shift it follows from beta_k and sigma_Y^2.
+held-out draw; the moments of several agents come as one stack.  Under
+concept shift it follows from beta_k and sigma_Y^2.
 Under covariate shift the coordinates of x are independent, and every
 moment of y = sum_j h_j(x_j) + noise is a sum of one-coordinate moments:
 
@@ -121,33 +122,38 @@ def concept_shift_test_sets(
     return [_concept_sample(spec, k, betas[k], n_test, TEST) for k in ks]
 
 
-def _augmented_moment(mean: np.ndarray, var: np.ndarray, xy: np.ndarray, y: float, yy: float) -> np.ndarray:
-    """E[z z'] for z = (x, 1, y), from E x and the variances of x's independent coordinates, E[x y], E y and E y^2."""
-    d = mean.size
-    M = np.empty((d + 2, d + 2))
-    head = np.append(mean, 1.0)
-    M[:-1, :-1] = np.outer(head, head)
-    M[range(d), range(d)] += var
-    M[:-1, -1] = M[-1, :-1] = np.append(xy, y)
-    M[-1, -1] = yy
+def _augmented_moments(mean: np.ndarray, var: np.ndarray, xy: np.ndarray, y: np.ndarray, yy: np.ndarray) -> np.ndarray:
+    """E[z z'] for z = (x, 1, y) of each of a stack of laws, one per row of the arguments.
+
+    From E x and the variances of x's independent coordinates, E[x y] (each
+    laws x d), E y and E y^2 (each of length laws).
+    """
+    laws, d = xy.shape
+    M = np.empty((laws, d + 2, d + 2))
+    head = np.concatenate([mean, np.ones((laws, 1))], axis=1)
+    M[:, :-1, :-1] = head[:, :, None] * head[:, None, :]
+    M[:, range(d), range(d)] += var
+    M[:, :-1, -1] = M[:, -1, :-1] = np.concatenate([xy, y[:, None]], axis=1)
+    M[:, -1, -1] = yy
     return M
 
 
 def concept_shift_moments(
     spec: ConceptShiftSpec, betas: list[np.ndarray], agents: Sequence[int] | None = None,
-) -> list[np.ndarray]:
-    """Population augmented second moments of ``agents`` (default: every agent), in that order.
+) -> np.ndarray:
+    """Population augmented second moments of ``agents`` (default: every agent), stacked in that order.
 
     Under x ~ N(1, I) and y = x'beta_k + N(0, sigma_Y^2): E[x y] = 1 (1'beta_k)
-    + beta_k, and E y^2 = (1'beta_k)^2 + ||beta_k||^2 + sigma_Y^2.
+    + beta_k, and E y^2 = (1'beta_k)^2 + ||beta_k||^2 + sigma_Y^2.  The row
+    sums and row dot products are the bits of each agent's own ``np.sum`` and
+    ``beta_k @ beta_k``, so agent k's moment does not depend on ``agents``.
     """
     ks = range(spec.b) if agents is None else agents
-    ones = np.ones(spec.d)
-    moments = []
-    for k in ks:
-        beta, total = betas[k], float(np.sum(betas[k]))
-        moments.append(_augmented_moment(ones, ones, total + beta, total, total * total + beta @ beta + spec.sigma_y2))
-    return moments
+    beta = np.array([betas[k] for k in ks], dtype=float).reshape(len(ks), spec.d)
+    total = beta.sum(axis=1)
+    ones = np.ones_like(beta)
+    yy = total * total + (beta[:, None, :] @ beta[:, :, None])[:, 0, 0] + spec.sigma_y2
+    return _augmented_moments(ones, ones, total[:, None] + beta, total, yy)
 
 
 @dataclass(frozen=True)
@@ -232,8 +238,8 @@ def covariate_shift_test_sets(
     return [_covariate_sample(spec, k, n_test, TEST) for k in ks]
 
 
-def _covariate_moment(spec: CovariateShiftSpec, k: int) -> np.ndarray:
-    """Agent k's population augmented second moment under the shared conditional law."""
+def _covariate_law(spec: CovariateShiftSpec, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """E x, Var x, E[x y], E y and E y^2 of agent k's law, the arguments of one row of :func:`_augmented_moments`."""
     d, group = spec.d, spec.group_of(k)
     # per coordinate: E x, Var x, E x^3 and E x^4; for x_1 also E sin 3x, E x sin 3x and E cos 6x
     if group == 2:
@@ -259,17 +265,20 @@ def _covariate_moment(spec: CovariateShiftSpec, k: int) -> np.ndarray:
     x_h = np.concatenate([[x_sin3, 0.5 * m3[1]], 0.1 * m2[2:]])
     y = float(h.sum())
     yy = y * y + float(np.sum(h_sq - h * h)) + _COVSHIFT_NOISE_SD**2
-    return _augmented_moment(m, var, x_h + m * (y - h), y, yy)
+    return m, var, x_h + m * (y - h), y, yy
 
 
-def covariate_shift_moments(spec: CovariateShiftSpec, agents: Sequence[int] | None = None) -> list[np.ndarray]:
-    """Population augmented second moments of ``agents`` (default: every agent), in that order.
+def covariate_shift_moments(spec: CovariateShiftSpec, agents: Sequence[int] | None = None) -> np.ndarray:
+    """Population augmented second moments of ``agents`` (default: every agent), stacked in that order.
 
     A Gaussian agent's mean is drawn from the stream its training set uses, so
     each moment is that of the law the agent's samples come from.
     """
     ks = range(spec.b) if agents is None else agents
-    return [_covariate_moment(spec, k) for k in ks]
+    laws = [_covariate_law(spec, k) for k in ks]
+    if not laws:
+        return np.empty((0, spec.d + 2, spec.d + 2))
+    return _augmented_moments(*(np.array(part, dtype=float) for part in zip(*laws)))
 
 
 def write_csv(datasets: list[AgentDataset], path) -> None:

@@ -12,10 +12,13 @@ the augmented moment the dataset computes once and caches
 (:meth:`AgentDataset.moments`), so repeated fits never re-read raw rows.  The
 ridge case solves the normal equations
 
-    (sum_k w_k S_k + lam I) theta = sum_k w_k r_k
+    H theta = (sum_k w_k S_k + lam I) theta = sum_k w_k r_k
 
-(the penalty applies to the full parameter vector, intercept included), and
-each full-batch gradient step is one mat-vec with the weighted moments.
+(the penalty applies to the full parameter vector, intercept included) by
+the eigendecomposition H = Q diag(lambda) Q': theta = Q diag(1/lambda) Q' r
+over the eigenvalues with |lambda_i| above _RANK_RTOL times the largest, so a
+singular system gets its minimum-norm solution.  Each full-batch gradient
+step is one mat-vec with the weighted moments.
 FedAvg runs the local steps of all participants as one batched update, each
 row using only its own S_k and r_k, and the server takes the participants'
 weighted sum of the local models; it reduces exactly to centralized gradient
@@ -24,11 +27,14 @@ finite sufficient statistic, so the classifier keeps its row-based gradient.
 
 Every fit takes a sequence of weight rows and returns one model per row, in
 order.  The agents' moments are stacked once per call, and the squared-loss
-iterations step all rows together: each gradient-descent epoch is one batched
-mat-vec over the rows' weighted moments, and each FedAvg local step is one
-over the rows' participants, for rows with the same number of participants.
-Every slice of a batched product is the bits of its one-row product, so a
-row's model does not depend on which other rows share its call.  A model
+rows are solved or stepped together: ridge is one batched eigendecomposition
+of the rows' H, each gradient-descent epoch is one batched mat-vec over the
+rows' weighted moments, and each FedAvg local step is one over the rows'
+participants, for rows with the same number of participants.  A batched
+LAPACK or BLAS call works slice by slice, and every slice is the bits of its
+one-row call, so a row's model does not depend on which other rows share its
+call.  :func:`moment_risks` scores a stack of (model, moment) pairs the same
+way, in one batched product.  A model
 whose coefficients are not all finite (gradient steps too large for the
 data diverge) carries the status ``NON_FINITE``.
 """
@@ -132,39 +138,41 @@ def weighted_gradient(spec: ModelSpec, w: np.ndarray, datasets: list[AgentDatase
     return grad
 
 
-def _normalized(weights: SimplexWeights | np.ndarray) -> np.ndarray:
-    # weights are consumed post-normalization, so rescaling is a no-op
-    w = np.asarray(getattr(weights, "w", weights), dtype=float)
-    if w.ndim != 1:
+def _weight_rows(weights: Sequence[SimplexWeights | np.ndarray], datasets: list[AgentDataset]) -> np.ndarray:
+    """The rows normalized, as one stack (rows x agents), after checking them and the datasets against each other.
+
+    Weights are consumed post-normalization, so rescaling a row is a no-op.
+    Each row's sum and quotients are the bits of that row's own ``w.sum()``
+    and ``w / total``, whichever rows share the stack.
+    """
+    rows = [np.asarray(getattr(w, "w", w), dtype=float) for w in weights]
+    if any(w.ndim != 1 for w in rows):
         raise ValueError("each weight row must be a vector")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    total = float(w.sum())
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    return w / total
-
-
-def _weight_rows(weights: Sequence[SimplexWeights | np.ndarray], datasets: list[AgentDataset]) -> list[np.ndarray]:
-    """Each row normalized, after checking it and the datasets against each other."""
-    rows = [_normalized(w) for w in weights]
     if any(w.shape[0] != len(datasets) for w in rows):
         raise ValueError("one weight per dataset is required")
     d = datasets[0].dim
     for ds in datasets:
         if ds.dim != d:
             raise ValueError("datasets must share one feature dimension")
-    return rows
+    W = np.stack(rows) if rows else np.empty((0, len(datasets)))
+    if not np.isfinite(W).all():
+        raise ValueError("weights must be finite")
+    if np.any(W < 0):
+        raise ValueError("weights must be non-negative")
+    totals = W.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0):
+        raise ValueError("weights must not all be zero")
+    return W / totals
 
 
-def _moment_stack(rows: list[np.ndarray], datasets: list[AgentDataset]) -> tuple[np.ndarray, np.ndarray]:
+def _moment_stack(rows: np.ndarray, datasets: list[AgentDataset]) -> tuple[np.ndarray, np.ndarray]:
     """The augmented moments of every agent some row weights, stacked once, and each agent's index into them.
 
     Moments that overflowed (entries near 1e154 square past the largest
     float) are rejected here, naming the agent: no fit can use them, and
     LAPACK may not return on them.
     """
-    used = np.flatnonzero(np.any(np.stack(rows) > 0.0, axis=0))
+    used = np.flatnonzero(np.any(rows > 0.0, axis=0))
     at = np.zeros(len(datasets), dtype=int)
     at[used] = np.arange(used.size)
     stack = np.stack([datasets[k].moments() for k in used])
@@ -175,20 +183,26 @@ def _moment_stack(rows: list[np.ndarray], datasets: list[AgentDataset]) -> tuple
     return stack, at
 
 
-def _weighted_moments(rows: list[np.ndarray], stack: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's S_w = sum_k w_k S_k and r_w = sum_k w_k r_k over its agents with positive weight."""
-    p = stack.shape[-1] - 1
-    S_w, r_w = np.empty((len(rows), p, p)), np.empty((len(rows), p))
-    for i, w in enumerate(rows):
-        active = np.flatnonzero(w > 0.0)
-        M = stack[at[active]]
-        S_w[i] = np.tensordot(w[active], M[:, :-1, :-1], axes=1)
-        r_w[i] = w[active] @ M[:, :-1, -1]
+def _weighted_moments(rows: np.ndarray, stack: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's S_w = sum_k w_k S_k and r_w = sum_k w_k r_k over its agents with positive weight.
+
+    A normalized row with one such agent weights it by exactly 1.0, so its
+    sums are that agent's own moments, taken as they are.
+    """
+    active = rows > 0.0
+    own = at[active.argmax(axis=1)]
+    S_w, r_w = stack[own, :-1, :-1], stack[own, :-1, -1]
+    for i in np.flatnonzero(active.sum(axis=1) > 1):
+        w = rows[i, active[i]]
+        M = stack[at[active[i]]]
+        S_w[i] = np.tensordot(w, M[:, :-1, :-1], axes=1)
+        r_w[i] = w @ M[:, :-1, -1]
     return S_w, r_w
 
 
 # H is a weighted Gram matrix, so forming it rounds at about p * eps of its
-# norm; singular values below this share of the largest are that rounding
+# norm; eigenvalues whose magnitude is below this share of the largest are
+# that rounding
 _RANK_RTOL = 1e-12
 
 # FedAvg stacks the participants' moments of a chunk of rows, rows x m x
@@ -207,11 +221,13 @@ def fit_weighted(
 ) -> list[FittedModel]:
     """Minimize the weighted empirical risk of each weight row; one model per row, in order.
 
-    Ridge solves its normal equations exactly; when the system is singular
-    (numerical rank below p, e.g. lam=0 with fewer samples than parameters)
-    it returns the minimum-norm solution with status "singular-min-norm".
-    GD variants run full-batch gradient descent, every squared-loss row in
-    one epoch loop.
+    Ridge solves every row's normal equations H theta = r_w in one batched
+    symmetric eigendecomposition H = Q diag(lambda) Q', as theta = Q
+    diag(1/lambda) Q' r_w over the eigenvalues with |lambda_i| > _RANK_RTOL *
+    max |lambda|.  When all p are kept the status is "ok"; otherwise (numerical
+    rank below p, e.g. lam=0 with fewer samples than parameters) theta is the
+    minimum-norm solution and the status "singular-min-norm".  GD variants run
+    full-batch gradient descent, every squared-loss row in one epoch loop.
     """
     rows = _weight_rows(weights, datasets)
     d = datasets[0].dim
@@ -223,17 +239,19 @@ def fit_weighted(
                 theta = theta - spec.lr * weighted_gradient(spec, w, datasets, theta)
             models.append(_unpack(theta, spec, d))
         return models
-    if not rows:
+    if not len(rows):
         return []
 
     S_w, r_w = _weighted_moments(rows, *_moment_stack(rows, datasets))
     p = S_w.shape[-1]
     if spec.kind == RIDGE:
-        models = []
-        for S, r in zip(S_w, r_w):
-            theta, _, rank, _ = np.linalg.lstsq(S + spec.lam * np.eye(p), r, rcond=_RANK_RTOL)
-            models.append(_unpack(theta, spec, d, "ok" if rank == p else "singular-min-norm"))
-        return models
+        eig, Q = np.linalg.eigh(S_w + spec.lam * np.eye(p))
+        size = np.abs(eig)
+        kept = size > _RANK_RTOL * size.max(axis=-1, keepdims=True)
+        coords = (r_w[:, None, :] @ Q)[:, 0, :] * np.divide(1.0, eig, out=np.zeros_like(eig), where=kept)
+        theta = (Q @ coords[..., None])[..., 0]
+        full_rank = kept.all(axis=-1)
+        return [_unpack(row, spec, d, "ok" if full else "singular-min-norm") for row, full in zip(theta, full_rank)]
 
     theta = np.zeros((len(rows), p))
     for _ in range(spec.epochs):
@@ -279,7 +297,7 @@ def fedavg(
                 theta = aggregate
             models.append(_unpack(theta, spec, d))
         return models
-    if not rows:
+    if not len(rows):
         return []
 
     stack, at = _moment_stack(rows, datasets)
@@ -309,19 +327,30 @@ def _fedavg_rounds(lam, S, r, share, rounds, local_steps, lr) -> np.ndarray:
     return theta
 
 
-def moment_risk(model: FittedModel, moment: np.ndarray) -> float:
-    """Squared loss of a linear model under a law with augmented second moment ``moment``.
+def moment_risks(models: Sequence[FittedModel], moments: np.ndarray) -> np.ndarray:
+    """Squared loss of each linear model ``models[i]`` under the law with augmented second moment ``moments[i]``.
 
-    ``moment`` is E[z z'] with z = (x, 1, y), in the layout of
+    ``moments[i]`` is E[z z'] with z = (x, 1, y), in the layout of
     :meth:`AgentDataset.moments`, so E (x'theta + c - y)^2 = u' M u with
     u = (theta, c, -1).  Under a population moment this is the exact risk;
     under a dataset's own moments it is that dataset's MSE, up to rounding.
-    A call scores one model, so no model's score depends on another's.
+    Every pair is scored in one batched mat-vec and one batched row-times-
+    column product, whose slices are the bits of one pair's ``u @ (M @ u)``
+    (matmul makes the same gemv and dot calls per slice), so no model's
+    score depends on the other pairs of the call.
     """
-    if model.spec.kind == LOGISTIC_GD:
+    if any(model.spec.kind == LOGISTIC_GD for model in models):
         raise ValueError("MSE is undefined for classifiers")
-    u = np.append(model.coefficients, (model.intercept, -1.0))
-    return float(u @ (moment @ u))
+    U = np.empty((len(models), np.shape(moments)[-1]))
+    for u, model in zip(U, models):
+        u[:-2], u[-2] = model.coefficients, model.intercept
+    U[:, -1] = -1.0
+    return (U[:, None, :] @ (moments @ U[:, :, None]))[:, 0, 0]
+
+
+def moment_risk(model: FittedModel, moment: np.ndarray) -> float:
+    """:func:`moment_risks` of one model under one augmented second moment."""
+    return float(moment_risks([model], np.asarray(moment)[None])[0])
 
 
 def evaluate(model: FittedModel, test: AgentDataset, metric: str) -> float:

@@ -10,19 +10,25 @@ same generator bit-for-bit, regardless of call order or thread count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 
-def _spawn_key(purpose: str, indices: tuple[int, ...]) -> tuple[int, ...]:
+@functools.lru_cache
+def _tag_words(purpose: str) -> tuple[int, ...]:
+    """The four 32-bit words of the purpose tag's hash; a run uses a handful of tags, each hashed once."""
     digest = hashlib.sha256(purpose.encode("utf-8")).digest()
+    return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+
+
+def _spawn_key(purpose: str, indices: tuple[int, ...]) -> tuple[int, ...]:
     # four 32-bit words of the tag hash, then the caller's indices
-    words = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
     for idx in indices:
         if idx < 0:
             raise ValueError(f"stream index must be non-negative, got {idx}")
-    return words + tuple(int(i) for i in indices)
+    return _tag_words(purpose) + tuple(int(i) for i in indices)
 
 
 def seed_sequence(master_seed: int, purpose: str, *indices: int) -> np.random.SeedSequence:

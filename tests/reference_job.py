@@ -1,11 +1,12 @@
 """A reference ``fedkme run`` job: every row fitted, charged and scored on its own.
 
 ``cli._run_job`` fits each distinct weight row of a job once, in one batched
-call per fit path, and forms each target's scorer when it scores that
-target.  This job fits one row per call, reuses nothing, and forms every
-target's scorer up front, through datagen's all-agents form of the
-population moments (or every test set of a custom run), so a run with it in
-place of ``cli._run_job`` must write the same bytes.
+call per fit path, and scores every distinct (model, target) pair in one
+stacked call against the all-agents stack of population moments.  This job
+fits one row per call, reuses nothing, and scores each model alone, against
+its target's moment formed through datagen's one-agent form (or on the
+target's test set of a custom run), so a run with it in place of
+``cli._run_job`` must write the same bytes.
 """
 
 from functools import partial
@@ -14,17 +15,17 @@ from fedkme import cli, datagen, fedsim, models
 
 
 def eager_scorers(cfg, gi, rep):
-    """Every target's scorer of one job, formed at once, in agent order."""
-    if cfg.experiment == cli.CONCEPT:
-        spec = cli._synthetic_spec(cfg, gi, rep)
-        _, betas, _ = datagen.gen_concept_shift(spec)
-        moments = datagen.concept_shift_moments(spec, betas)
-    elif cfg.experiment == cli.COVARIATE:
-        moments = datagen.covariate_shift_moments(cli._synthetic_spec(cfg, gi, rep))
-    else:
+    """Every target's scorer of one job, in agent order, each from the target's own moment or test set."""
+    if cfg.experiment == cli.CUSTOM:
         metric = models.ACCURACY if cfg.model_kind == models.LOGISTIC_GD else models.MSE
         tests = datagen.load_csv_agents(cfg.test_path).values()
         return [partial(models.evaluate, test=test, metric=metric) for test in tests]
+    spec = cli._synthetic_spec(cfg, gi, rep)
+    if cfg.experiment == cli.CONCEPT:
+        _, betas, _ = datagen.gen_concept_shift(spec)
+        moments = [datagen.concept_shift_moments(spec, betas, [t])[0] for t in range(spec.b)]
+    else:
+        moments = [datagen.covariate_shift_moments(spec, [t])[0] for t in range(spec.b)]
     return [partial(models.moment_risk, moment=moment) for moment in moments]
 
 

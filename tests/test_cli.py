@@ -391,6 +391,14 @@ def test_cmd_weights_single_agent(tmp_path):
     assert rows[1] == ["0", "1"]
 
 
+def test_weights_cells_are_each_values_own_format(tmp_path):
+    # repeated values share one formatted cell; 0.0 and -0.0 keep their own
+    rows = [[1.0, 0.0, -0.0], [0.1, 0.7, 0.2], [-0.0, 0.3, 0.7]]
+    cli._write_weights(tmp_path / "weights.csv", [SimplexWeights(np.array(w)) for w in rows])
+    assert _read(tmp_path / "weights.csv")[1:] == [[str(t)] + [f"{v:.17g}" for v in w] for t, w in enumerate(rows)]
+    assert _read(tmp_path / "weights.csv")[1][1:] == ["1", "0", "-0"]
+
+
 def test_cmd_weights_borrows_under_zero_shift(tmp_path):
     cfg = replace(TINY, grid=(0.0,), agents=6, samples_per_agent=8)
     path = cmd_weights(cfg, tmp_path)
@@ -561,7 +569,7 @@ def test_cmd_weights_fits_no_model(tmp_path, monkeypatch):
         weights_dir.mkdir()
         expected = cmd_run(cfg, run_dir)["weights"].read_bytes()
         with monkeypatch.context() as m:
-            for owner, name in ((cli, "fit_model"), (cli, "evaluate"), (cli, "moment_risk"),
+            for owner, name in ((cli, "fit_model"), (cli, "evaluate"), (cli, "moment_risks"),
                                 (fedsim, "fit_weighted"), (fedsim, "fedavg")):
                 m.setattr(owner, name, lambda *args, _name=name, **kwargs: pytest.fail(f"cmd_weights called {_name}"))
             assert cmd_weights(cfg, weights_dir).read_bytes() == expected
@@ -767,14 +775,16 @@ def _assert_reuse_changes_no_byte(tmp_path, monkeypatch, cfg, paths):
         assert paths[key].read_bytes() == ref[key].read_bytes(), key
 
 
-_FIT_ENTRY_POINTS = ("fit_weighted", "fedavg")
+# entry points that take a batch of rows, by the position of the batch among their arguments
+_ROW_ENTRY_POINTS = {"fit_weighted": 1, "fedavg": 1, "moment_risks": 0}
 
 
 def _counted_run(tmp_path, monkeypatch, cfg, targets):
     """cmd_run with a counter on each (module, name) in ``targets``.
 
     A fit entry point takes a batch of weight rows, so it counts the rows it
-    fits; anything else counts its calls.
+    fits, and the scoring entry point counts the (model, target) pairs it
+    scores; anything else counts its calls.
     """
     calls = Counter()
     out = tmp_path / "reuse"
@@ -784,7 +794,7 @@ def _counted_run(tmp_path, monkeypatch, cfg, targets):
             original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += len(args[1]) if _name in _FIT_ENTRY_POINTS else 1
+                calls[_name] += len(args[_ROW_ENTRY_POINTS[_name]]) if _name in _ROW_ENTRY_POINTS else 1
                 return _original(*args, **kwargs)
 
             m.setattr(owner, name, counted)
@@ -800,7 +810,7 @@ def test_run_fits_each_distinct_weight_row_once(tmp_path, monkeypatch):
     assert np.array_equal(weights_matrix(wrows), np.eye(B))  # every Qagg row is e_t
     assert n_groups == 2
     calls, paths = _counted_run(tmp_path, monkeypatch, cfg, [
-        (cli, "fit_model"), (fedsim, "fit_weighted"), (cli, "moment_risk"), (cli, "baseline_weights"),
+        (cli, "fit_model"), (fedsim, "fit_weighted"), (cli, "moment_risks"), (cli, "baseline_weights"),
     ])
     # the closed-form Qagg and baseline rows are one batch through the one fit dispatch
     assert calls["fit_model"] == 1
@@ -809,7 +819,7 @@ def test_run_fits_each_distinct_weight_row_once(tmp_path, monkeypatch):
     # every target's baseline rows come from one call per policy
     assert calls["baseline_weights"] == len(cfg.baselines)
     # a target's Qagg and Local rows share a model and its score
-    assert calls["moment_risk"] == 3 * B
+    assert calls["moment_risks"] == 3 * B
     _assert_reuse_changes_no_byte(tmp_path, monkeypatch, cfg, paths)
 
 
@@ -834,14 +844,14 @@ def test_fedavg_targets_sharing_a_row_are_each_charged(tmp_path, monkeypatch):
     }
     assert len(baseline_scores) < 3 * B  # a one-agent group's Oracle row is its Local row
     calls, paths = _counted_run(tmp_path, monkeypatch, cfg, [
-        (cli, "fit_model"), (fedsim, "fit_weighted"), (fedsim, "fedavg"), (cli, "moment_risk"),
+        (cli, "fit_model"), (fedsim, "fit_weighted"), (fedsim, "fedavg"), (cli, "moment_risks"),
     ])
     assert calls["fit_model"] == 2  # one call per fit path
     assert calls["fedavg"] == B - 1
     # a FedAvg model is never reused for a closed-form baseline row, not even Local row 2
     assert calls["fit_weighted"] == len({row for row, _ in baseline_scores})
     # targets 0 and 1 share a FedAvg model but not a score
-    assert calls["moment_risk"] == B + len(baseline_scores)
+    assert calls["moment_risks"] == B + len(baseline_scores)
     trips = [r for r in _read(paths["comm"])[1:] if r[3] == "model_round_trip"]
     support = [int(np.count_nonzero(w.w)) for w in wrows]
     assert len(trips) == cfg.fedavg_rounds * sum(support)  # target 1 is charged for its rounds too

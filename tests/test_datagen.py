@@ -294,6 +294,19 @@ def test_moments_of_one_agent_are_the_bits_of_all_agents():
         for k, moment in enumerate(every):
             assert moment.tobytes() == one(k).tobytes()
             np.testing.assert_array_equal(moment, moment.T)
+    assert concept_shift_moments(concept, betas, []).shape == (0, 6, 6)
+    assert covariate_shift_moments(covariate, []).shape == (0, 5, 5)
+
+
+def test_concept_moments_are_the_bits_of_each_agents_own_sums():
+    # the stack's row sums and row dot products are each agent's np.sum(beta_k) and beta_k @ beta_k
+    spec = ConceptShiftSpec(sigma_c2=0.5, b=7, n_k=3, d=20, sigma_y2=1.5, seed=25)
+    _, betas, _ = gen_concept_shift(spec)
+    for beta, moment in zip(betas, concept_shift_moments(spec, betas)):
+        total = float(np.sum(beta))
+        assert moment[:-2, -1].tobytes() == (total + beta).tobytes()
+        assert moment[-2, -1] == total
+        assert moment[-1, -1] == total * total + beta @ beta + spec.sigma_y2
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):

@@ -6,6 +6,14 @@ import pytest
 
 from fedkme import models
 from fedkme.data import AgentDataset, audit_raw_access
+from fedkme.datagen import (
+    ConceptShiftSpec,
+    CovariateShiftSpec,
+    concept_shift_moments,
+    covariate_shift_moments,
+    gen_concept_shift,
+    gen_covariate_shift,
+)
 from fedkme.models import (
     ACCURACY,
     LINEAR_GD,
@@ -18,6 +26,7 @@ from fedkme.models import (
     fedavg,
     fit_weighted,
     moment_risk,
+    moment_risks,
     weighted_gradient,
 )
 from fedkme.qagg import SimplexWeights
@@ -63,6 +72,15 @@ def test_zero_weights_rejected():
         fit_weighted(spec, [np.array([1.0, -1.0])], datasets)
     with pytest.raises(ValueError):
         fit_weighted(spec, [SimplexWeights(np.array([1.0]))], datasets)
+
+
+def test_non_finite_weights_rejected():
+    datasets = _regression_agents(0, B=2)
+    for w in (np.array([np.nan, 1.0]), np.array([np.inf, 1.0])):
+        for fit in (lambda rows: fit_weighted(ModelSpec(kind=RIDGE), rows, datasets),
+                    lambda rows: fedavg(ModelSpec(kind=LINEAR_GD), rows, datasets, rounds=1, local_steps=1, lr=0.1)):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                fit([np.array([1.0, 0.0]), w])
 
 
 def test_unit_weight_on_target_is_a_local_fit():
@@ -165,6 +183,61 @@ def _row_normal_equations(w, datasets, lam):
         H += (wk / ds.n) * (Xd.T @ Xd)
         r += (wk / ds.n) * (Xd.T @ ds.y)
     return H, r
+
+
+def _ridge_cases():
+    """(label, lam, datasets, weight rows): singular and near-square systems at lam = 0, and lam > 0."""
+    g = np.random.default_rng(31)
+
+    def agents(sizes, d, duplicate=None):
+        # duplicate: the scale of the noise on a copy of the first column, 0.0 for an exact copy
+        out = []
+        for n in sizes:
+            X = g.normal(loc=0.3, size=(n, d))
+            if duplicate is not None:
+                X = np.hstack([X, X[:, :1] + duplicate * g.normal(size=(n, 1))])
+            out.append(AgentDataset(X, X @ g.normal(size=X.shape[1]) + 0.5 + 0.3 * g.normal(size=n)))
+        return out
+
+    def rows(B):
+        eye = np.eye(B)
+        pair = np.zeros(B)
+        pair[[0, B - 1]] = [0.4, 0.6]
+        return [*eye, pair, *g.dirichlet(np.ones(B), size=4)]
+
+    # p = d + 1 parameters; fewer pooled samples than p, a duplicated column, and n within one of p;
+    # a column within 1e-4 of another leaves eigenvalues near 1e-9 of the largest, which both keep
+    yield "n_below_p", 0.0, agents((2, 3, 4), 10), rows(3)
+    yield "duplicated_column", 0.0, agents((20, 30, 25), 4, duplicate=0.0), rows(3)
+    yield "near_duplicate_column", 0.0, agents((20, 30, 25), 4, duplicate=1e-4), rows(3)
+    yield "lam_positive", 0.7, agents((3, 12, 40, 8), 6), rows(4)
+    yield "lam_positive_n_below_p", 1e-3, agents((2, 3, 4), 10), rows(3)
+    yield "n_near_p", 0.0, agents((6, 7, 8), 6), [*np.eye(3), np.ones(3)]
+
+
+_RIDGE_CASES = list(_ridge_cases())
+
+
+@pytest.mark.parametrize("label, lam, datasets, rows", _RIDGE_CASES, ids=[case[0] for case in _RIDGE_CASES])
+def test_ridge_eigen_solve_matches_lstsq(label, lam, datasets, rows):
+    # the eigen-solve keeps |lambda_i| > _RANK_RTOL max |lambda|, as lstsq keeps the
+    # singular values above rcond times the largest, so the two agree on every status
+    fitted = fit_weighted(ModelSpec(kind=RIDGE, lam=lam), rows, datasets)
+    for w, model in zip(rows, fitted):
+        _, _, _, S_w, r_w = _moment_form(w, datasets)
+        H = S_w + lam * np.eye(len(r_w))
+        want, _, rank, _ = np.linalg.lstsq(H, r_w, rcond=models._RANK_RTOL)
+        assert model.status == ("ok" if rank == len(r_w) else "singular-min-norm"), (label, w)
+        theta = _theta(model)
+        if np.linalg.cond(H) <= 1e4:
+            assert _relative_error(theta, want) <= 1e-9, (label, w)
+        resid = H @ theta - r_w
+        assert float(np.max(np.abs(resid))) <= 1e-8 * max(1.0, float(np.max(np.abs(r_w)))), (label, w)
+    statuses = {model.status for model in fitted}
+    if label in ("n_below_p", "duplicated_column"):
+        assert statuses == {"singular-min-norm"}
+    if label.startswith("lam_positive") or label == "near_duplicate_column":
+        assert statuses == {"ok"}
 
 
 def _zero_params(spec, datasets):
@@ -501,6 +574,32 @@ def test_moment_risk_under_a_datasets_own_moments_is_its_mse():
     clf = FittedModel(np.zeros((4, 2)), np.zeros(2), ModelSpec(kind=LOGISTIC_GD))
     with pytest.raises(ValueError, match="undefined for classifiers"):
         moment_risk(clf, agents[0].moments())
+
+
+def test_stacked_scores_are_each_pairs_one_model_bits():
+    # concept and covariate population moments, every fitted model against every agent's law
+    concept = ConceptShiftSpec(sigma_c2=0.4, b=5, n_k=12, d=6, seed=32)
+    concept_data, betas, _ = gen_concept_shift(concept)
+    covariate = CovariateShiftSpec(b=6, n_k=15, d=4, k1=2, k2=2, seed=33)
+    covariate_data, _ = gen_covariate_shift(covariate)
+    for datasets, moments in (
+        (concept_data, concept_shift_moments(concept, betas)),
+        (covariate_data, covariate_shift_moments(covariate)),
+    ):
+        B = len(datasets)
+        rows = [np.eye(B)[0], np.eye(B)[B - 1], np.ones(B)]
+        fitted = [model for spec in (ModelSpec(kind=RIDGE, lam=0.1), ModelSpec(kind=LINEAR_GD, lr=0.02, epochs=20))
+                  for model in fit_weighted(spec, rows, datasets)]
+        pairs = [(model, t) for model in fitted for t in range(B)]
+        stacked = moment_risks([m for m, _ in pairs], moments[[t for _, t in pairs]])
+        for (model, t), value in zip(pairs, stacked):
+            u = np.append(model.coefficients, (model.intercept, -1.0))
+            assert value == float(u @ (moments[t] @ u))
+            assert value == moment_risk(model, moments[t])
+        # a pair scored alone or among a few others keeps its bits
+        some = pairs[3::4]
+        np.testing.assert_array_equal(moment_risks([m for m, _ in some], moments[[t for _, t in some]]), stacked[3::4])
+    assert moment_risks([], np.empty((0, 4, 4))).shape == (0,)
 
 
 def test_evaluate_metric_mismatch():
